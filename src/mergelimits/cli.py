@@ -22,8 +22,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON experiment config (ExperimentConfig fields)")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker count; affects speed only, never results")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 

@@ -79,20 +79,24 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         unknown = set(d) - {f for f in ExperimentConfig.__dataclass_fields__}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "spectrum" in d:
-            d["spectrum"] = SpectrumDescriptor(**d["spectrum"])
-        if "rht_params" in d:
-            rp = dict(d["rht_params"])
-            if "target" in rp:
-                rp["target"] = rht.RHTTarget(rp["target"])
-            d["rht_params"] = rht.RHTParams(**rp)
+        # Nested objects raise TypeError on unknown keys or non-mappings and
+        # RHTTarget raises ValueError on an unknown value.
         try:
+            if "spectrum" in d:
+                d["spectrum"] = SpectrumDescriptor(**d["spectrum"])
+            if "rht_params" in d:
+                rp = dict(d["rht_params"])
+                if "target" in rp:
+                    rp["target"] = rht.RHTTarget(rp["target"])
+                d["rht_params"] = rht.RHTParams(**rp)
             return ExperimentConfig(**d)
-        except TypeError as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
 
     def to_json(self) -> str:
@@ -146,15 +150,17 @@ class Report:
 
     @staticmethod
     def from_json(text: str) -> "Report":
-        d = json.loads(text)
-        return Report(
-            kind=d["kind"],
-            columns=d["columns"],
-            rows=d["rows"],
-            config=d["config"],
-            extra=d["extra"],
-            schema_version=d["schema_version"],
-        )
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"bad report JSON: {e}") from e
+        if not isinstance(d, dict):
+            raise ConfigError(f"report must be a JSON object, got {type(d).__name__}")
+        keys = Report.__dataclass_fields__
+        missing = sorted(set(keys) - set(d))
+        if missing:
+            raise ConfigError(f"report JSON lacks keys: {missing}")
+        return Report(**{k: d[k] for k in keys})
 
 
 def emit_report(report: Report, fmt: str, path) -> None:
@@ -206,14 +212,36 @@ def gen_experts(cfg: ExperimentConfig, low_rank: bool = False):
     return deltas
 
 
+_SKIP_CHUNK = 1 << 16
+
+
+def _skip_normals(gen: np.random.Generator, n: int) -> None:
+    """Advance gen past n standard normals, holding at most _SKIP_CHUNK."""
+    buf = np.empty(min(n, _SKIP_CHUNK))
+    while n > 0:
+        m = min(n, buf.size)
+        gen.standard_normal(out=buf[:m])
+        n -= m
+
+
 def gen_quadratic_task(cfg: ExperimentConfig) -> geometry.QuadraticTask:
-    """Random-basis quadratic task with the configured spectrum."""
+    """Random-basis quadratic task with the configured spectrum.
+
+    Stream 2 holds the D x D Gaussian block of the Haar basis, then
+    theta_star. The block is skipped here and replayed from the start of
+    the stream only when task.basis is first read.
+    """
     stream = RngStream(cfg.seed, 2)
     gen = stream.generator()
     d = cfg.dimension
-    basis = geometry.haar_orthogonal(d, gen)
+    _skip_normals(gen, d * d)
     theta_star = gen.normal(size=d)
-    return geometry.QuadraticTask(theta_star, cfg.spectrum.eigenvalues(d), basis, cfg.epsilon)
+    return geometry.QuadraticTask(
+        theta_star,
+        cfg.spectrum.eigenvalues(d),
+        lambda: geometry.haar_orthogonal(d, stream.generator()),
+        cfg.epsilon,
+    )
 
 
 _SATURATION_COLUMNS = [

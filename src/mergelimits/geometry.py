@@ -20,36 +20,52 @@ from .tensorio import RngStream, as_matrix, as_pvec
 _ANGLE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
 class QuadraticTask:
     """Quadratic loss L(theta) = 0.5 (theta - theta*)^T H (theta - theta*).
 
     H = basis @ diag(eigenvalues) @ basis^T with orthonormal basis columns.
     The epsilon-sublevel set is an ellipsoid centered at theta* with radii
     r_i = sqrt(2 eps / lambda_i) along the eigenvectors.
+
+    basis is either the D x D matrix or a zero-argument callable returning
+    it. A matrix is checked for orthonormal columns (max |Q^T Q - I| <= 1e-8)
+    here. A callable is called on the first read of .basis (by loss or
+    sample_sublevel), its result checked the same way and cached. Widths,
+    marginal gains and the redundancy check are basis-invariant and never
+    read it, so a lazily supplied basis is never built for them.
     """
 
-    theta_star: np.ndarray
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        ts = as_pvec(self.theta_star)
-        lam = as_pvec(self.eigenvalues)
-        q = as_matrix(self.basis)
-        object.__setattr__(self, "theta_star", ts)
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "basis", q)
-        d = ts.size
-        if lam.size != d or q.shape != (d, d):
+    def __init__(self, theta_star, eigenvalues, basis, epsilon):
+        self.theta_star = as_pvec(theta_star)
+        self.eigenvalues = as_pvec(eigenvalues)
+        self.epsilon = epsilon
+        if callable(basis):
+            self._basis, self._make_basis = None, basis
+        else:
+            self._basis, self._make_basis = as_matrix(basis), None
+        if self.eigenvalues.size != self.dim:
             raise ConfigError("theta_star, eigenvalues and basis dimensions disagree")
-        if np.any(lam <= 0):
+        if np.any(self.eigenvalues <= 0):
             raise ConfigError("all eigenvalues must be > 0")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        if self._basis is not None:
+            self._check_basis(self._basis)
+
+    def _check_basis(self, q: np.ndarray) -> None:
+        d = self.dim
+        if q.shape != (d, d):
+            raise ConfigError("theta_star, eigenvalues and basis dimensions disagree")
         if np.max(np.abs(q.T @ q - np.eye(d))) > 1e-8:
             raise ConfigError("basis columns are not orthonormal")
+
+    @property
+    def basis(self) -> np.ndarray:
+        if self._basis is None:
+            q = as_matrix(self._make_basis())
+            self._check_basis(q)
+            self._basis, self._make_basis = q, None
+        return self._basis
 
     @property
     def dim(self) -> int:

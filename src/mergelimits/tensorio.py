@@ -7,11 +7,13 @@ formats:
     MMPV: "MMPV" | u32 version (=1) | u64 dim | dim * float64 (LE)
     MMMX: "MMMX" | u32 version (=1) | u64 rows | u64 cols | row-major float64 (LE)
 
-Roundtrips are bit-exact.
+Readers check the payload size a header declares against the file size
+before reading it. Roundtrips are bit-exact.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -131,6 +133,22 @@ def _read_exact(f, n: int, offset: int, what: str) -> bytes:
     return buf
 
 
+def _check_payload_size(f, header: int, payload: int) -> None:
+    """Compare the payload size a header declares with the file's size.
+
+    Runs before the payload is read, so a false header can neither ask for
+    a huge buffer nor overflow the read call.
+    """
+    size = os.fstat(f.fileno()).st_size
+    if size < header + payload:
+        raise FormatError(
+            f"truncated file: header declares {payload} payload bytes, file holds {size - header}",
+            size,
+        )
+    if size > header + payload:
+        raise FormatError("trailing bytes after payload", header + payload)
+
+
 def write_pvec(v: np.ndarray, path) -> None:
     v = as_pvec(v)
     with open(path, "wb") as f:
@@ -149,10 +167,8 @@ def read_pvec(path) -> np.ndarray:
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported MMPV version {version}", 4)
         (dim,) = struct.unpack("<Q", _read_exact(f, 8, 8, "dim"))
+        _check_payload_size(f, 16, 8 * dim)
         payload = _read_exact(f, 8 * dim, 16, "payload")
-        extra = f.read(1)
-        if extra:
-            raise FormatError("trailing bytes after payload", 16 + 8 * dim)
     return np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=True)
 
 
@@ -174,8 +190,6 @@ def read_matrix(path) -> np.ndarray:
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported MMMX version {version}", 4)
         rows, cols = struct.unpack("<QQ", _read_exact(f, 16, 8, "rows/cols"))
+        _check_payload_size(f, 24, 8 * rows * cols)
         payload = _read_exact(f, 8 * rows * cols, 24, "payload")
-        extra = f.read(1)
-        if extra:
-            raise FormatError("trailing bytes after payload", 24 + 8 * rows * cols)
     return np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=True).reshape(rows, cols)

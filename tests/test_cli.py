@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from mergelimits import geometry
 from mergelimits.cli import main
 from mergelimits.experiments import ExperimentConfig, Report
 from mergelimits.tensorio import read_pvec, write_matrix, write_pvec
@@ -92,6 +93,13 @@ class TestWidth:
         methods = {row[0]: row[1] for row in rep.rows}
         assert methods["monte_carlo"] <= methods["jensen"]
 
+    def test_never_builds_basis(self, tmp_path, small_config, monkeypatch):
+        def no_basis(*args, **kwargs):
+            raise AssertionError("width built the Hessian basis")
+
+        monkeypatch.setattr(geometry, "haar_orthogonal", no_basis)
+        assert run(["width", "--config", small_config, "--out", tmp_path]) == 0
+
 
 class TestKinematics:
     def test_subspace_sweep_with_plot(self, tmp_path):
@@ -125,6 +133,22 @@ class TestSaturate:
         bad.write_text(json.dumps({"seed": 1, "rho": 2.0}))
         assert run(["saturate", "--config", bad, "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            [1, 2],
+            {"spectrum": {"bogus": 1}},
+            {"spectrum": 5},
+            {"rht_params": {"bogus": 1}},
+            {"rht_params": {"target": "x"}},
+        ],
+        ids=["not-object", "spectrum-key", "spectrum-type", "rht-key", "rht-target"],
+    )
+    def test_malformed_config_exit_2(self, tmp_path, cfg):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert run(["saturate", "--config", bad, "--out", tmp_path]) == 2
+
 
 class TestRhtStudy:
     def test_runs_and_emits(self, tmp_path, small_config):
@@ -156,3 +180,13 @@ class TestReport:
         out = tmp_path / "o"
         assert run(["report", src, "--out", out, "--format", "csv"]) == 0
         assert (out / "demo.csv").read_text().startswith("# kind: demo")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[1]", json.dumps({"kind": "demo"})],
+        ids=["not-json", "not-object", "missing-keys"],
+    )
+    def test_malformed_report_exit_2(self, tmp_path, text):
+        src = tmp_path / "in.json"
+        src.write_text(text)
+        assert run(["report", src, "--out", tmp_path]) == 2

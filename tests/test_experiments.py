@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mergelimits import geometry
 from mergelimits.errors import ConfigError, NumericError
 from mergelimits.experiments import (
     ExperimentConfig,
@@ -120,6 +122,16 @@ class TestGenQuadraticTask:
         task = gen_quadratic_task(ExperimentConfig(seed=10, dimension=40))
         assert np.max(np.abs(task.basis.T @ task.basis - np.eye(40))) <= 1e-10
 
+    @pytest.mark.parametrize("seed,dim", [(0, 1), (10, 40), (123, 300)])
+    def test_stream_layout(self, seed, dim):
+        # Stream 2 is the Haar basis then theta_star; 300^2 spans several skip chunks.
+        g = RngStream(seed, 2).generator()
+        basis = geometry.haar_orthogonal(dim, g)
+        theta_star = g.normal(size=dim)
+        task = gen_quadratic_task(ExperimentConfig(seed=seed, dimension=dim))
+        assert np.array_equal(task.theta_star, theta_star)
+        assert np.array_equal(task.basis, basis)
+
 
 class TestRunSaturation:
     def test_default_stops(self):
@@ -152,6 +164,19 @@ class TestRunSaturation:
     def test_deterministic(self):
         cfg = ExperimentConfig(seed=5, dimension=100, n_experts=4)
         assert run_saturation(cfg).to_csv() == run_saturation(cfg).to_csv()
+
+    def test_never_builds_basis(self, monkeypatch):
+        def no_basis(*args, **kwargs):
+            raise AssertionError("run_saturation built the Hessian basis")
+
+        monkeypatch.setattr(geometry, "haar_orthogonal", no_basis)
+        rep = run_saturation(ExperimentConfig(seed=5, dimension=100, n_experts=4))
+        assert len(rep.rows) == 4
+
+    def test_matches_committed_demo(self):
+        cfg = ExperimentConfig(seed=0, dimension=500, n_experts=10, rho=0.5, delta=0.05)
+        committed = Path(__file__).parents[1] / "demos" / "out" / "saturation.csv"
+        assert run_saturation(cfg).to_csv().encode() == committed.read_bytes()
 
 
 class TestRunKinematics:

@@ -97,6 +97,27 @@ def test_truncated_payload(tmp_path):
         read_pvec(path)
 
 
+@pytest.mark.parametrize("dim", [2**62, 2**40, 3], ids=["2^62", "2^40", "one-over"])
+def test_pvec_overdeclared_dim_rejected(tmp_path, dim):
+    # The size check runs before any read, so the claimed payload is never allocated.
+    path = tmp_path / "over.mmpv"
+    path.write_bytes(b"MMPV" + struct.pack("<IQ", 1, dim) + b"\x00" * 16)
+    with pytest.raises(FormatError) as exc:
+        read_pvec(path)
+    assert exc.value.offset == 32
+
+
+@pytest.mark.parametrize(
+    "rows,cols", [(2**62, 1), (2**32, 2**32), (1, 3)], ids=["2^62", "2^64-cells", "one-over"]
+)
+def test_matrix_overdeclared_shape_rejected(tmp_path, rows, cols):
+    path = tmp_path / "over.mmmx"
+    path.write_bytes(b"MMMX" + struct.pack("<IQQ", 1, rows, cols) + b"\x00" * 16)
+    with pytest.raises(FormatError) as exc:
+        read_matrix(path)
+    assert exc.value.offset == 40
+
+
 def test_unknown_version_rejected(tmp_path):
     path = tmp_path / "v2.mmpv"
     payload = b"MMPV" + struct.pack("<I", 99) + struct.pack("<Q", 1) + b"\x00" * 8
