@@ -25,10 +25,17 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path} is not UTF-8 text: {e}") from e
+
+
 def _load_config(args) -> experiments.ExperimentConfig:
     if args.config:
-        with open(args.config) as f:
-            cfg = experiments.ExperimentConfig.from_json(f.read())
+        cfg = experiments.ExperimentConfig.from_json(_read_text(args.config))
     else:
         cfg = experiments.ExperimentConfig()
     if args.seed is not None:
@@ -97,6 +104,8 @@ def cmd_kinematics(args) -> None:
     cfg = _load_config(args)
     if args.k_max is None:
         args.k_max = args.dim
+    if args.k_step < 1:
+        raise ConfigError(f"--k-step must be >= 1, got {args.k_step}")
     k_values = list(range(args.k_min, args.k_max + 1, args.k_step))
     half_angle = None if args.half_angle_deg is None else float(np.radians(args.half_angle_deg))
     report = experiments.run_kinematics(
@@ -179,8 +188,7 @@ def cmd_subspace(args) -> None:
 
 
 def cmd_report(args) -> None:
-    with open(args.input) as f:
-        report = experiments.Report.from_json(f.read())
+    report = experiments.Report.from_json(_read_text(args.input))
     print(_emit(report, args, report.kind))
 
 

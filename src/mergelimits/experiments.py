@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -63,6 +64,14 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        for name in ("seed", "dimension", "n_experts", "rank"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+        for name in ("sigma2", "rho", "delta", "epsilon"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {v!r}")
         if self.dimension < 1 or self.n_experts < 1 or self.rank < 1:
             raise ConfigError("dimension, n_experts and rank must be >= 1")
         if not self.sigma2 > 0:
@@ -328,6 +337,11 @@ def run_kinematics(
     Haar-rotated k-subspace, swept over k."""
     if trials < 200:
         raise ConfigError(f"need >= 200 trials, got {trials}")
+    if dim < 1:
+        raise ConfigError(f"dim must be >= 1, got {dim}")
+    k_values = list(k_values)
+    if not k_values:
+        raise ConfigError("k_values is empty")
     if (half_angle is None) == (subspace_dim is None):
         raise ConfigError("give exactly one of half_angle or subspace_dim")
     if half_angle is not None:

@@ -214,12 +214,10 @@ def haar_orthogonal(dim: int, gen: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _subspace_intersects(basis_a: np.ndarray, basis_b: np.ndarray, dim: int) -> bool:
-    k1, k2 = basis_a.shape[1], basis_b.shape[1]
-    if k1 + k2 > dim:
-        return True
-    s = np.linalg.svd(np.hstack([basis_a, basis_b]), compute_uv=False)
-    return bool(s[-1] < 1e-8)
+# Normals drawn per batch in kinematics_transition. Consecutive draws from
+# one generator give the same numbers as a single large draw, so this bounds
+# memory without changing results.
+_CHUNK_NORMALS = 1 << 16
 
 
 def kinematics_transition(
@@ -229,29 +227,49 @@ def kinematics_transition(
     trials: int,
     stream: RngStream,
 ) -> float:
-    """Empirical probability that C intersects a Haar-rotated k-subspace.
+    """Empirical probability that C intersects a Haar-rotated k-subspace S.
 
-    cone_or_subspace is a CircularCone or an int k1 (subspace dimension).
-    For a circular cone the test is exact: the rotated subspace meets the
-    cone nontrivially iff arccos |Pi_S u| <= half_angle (+ 1e-10 rad).
+    cone_or_subspace is a CircularCone or an int k1, the fixed subspace
+    E_k1 spanned by the first k1 coordinate axes. Each trial draws only
+    what its test reads:
+
+    - Cone: S meets the cone nontrivially iff arccos |Pi_S u| <= half_angle
+      (+ 1e-10 rad). By rotation invariance |Pi_S u|^2 has the law of
+      sum_{i<k} g_i^2 / |g|^2 for g ~ N(0, I_D), so a trial is one
+      D-vector.
+    - Subspace: when k1 + k > D the two always meet and nothing is drawn.
+      Otherwise S is the span of a D x k Gaussian with orthonormal basis Q,
+      and S meets E_k1 iff sigma_min(Q[k1:]) < 1e-8 (the sine of the
+      smallest principal angle between them).
     """
     if trials < 100:
         raise ConfigError(f"need >= 100 trials, got {trials}")
     if not 0 < k <= dim:
         raise ConfigError(f"k must be in (0, {dim}], got {k}")
+    if isinstance(cone_or_subspace, CircularCone):
+        limit = cone_or_subspace.half_angle + _ANGLE_TOL
+
+        def hit(g):
+            ratio = np.sum(g[:, :k] ** 2, axis=1) / np.sum(g * g, axis=1)
+            return np.arccos(np.minimum(np.sqrt(ratio), 1.0)) <= limit
+
+        shape = (dim,)
+    else:
+        k1 = int(cone_or_subspace)
+        if not 0 < k1 <= dim:
+            raise ConfigError(f"subspace dim must be in (0, {dim}], got {k1}")
+        if k1 + k > dim:
+            return 1.0
+
+        def hit(g):
+            q, _ = np.linalg.qr(g)
+            return np.linalg.svd(q[:, k1:, :], compute_uv=False)[:, -1] < 1e-8
+
+        shape = (dim, k)
     gen = stream.generator()
+    batch = max(1, _CHUNK_NORMALS // math.prod(shape))
     hits = 0
-    base = np.eye(dim)[:, :k]
-    for _ in range(trials):
-        q = haar_orthogonal(dim, gen)
-        s_basis = q @ base
-        if isinstance(cone_or_subspace, CircularCone):
-            proj = s_basis.T @ cone_or_subspace.axis
-            cosang = min(float(np.linalg.norm(proj)), 1.0)
-            hits += bool(math.acos(cosang) <= cone_or_subspace.half_angle + _ANGLE_TOL)
-        else:
-            k1 = int(cone_or_subspace)
-            if not 0 < k1 <= dim:
-                raise ConfigError(f"subspace dim must be in (0, {dim}], got {k1}")
-            hits += _subspace_intersects(np.eye(dim)[:, :k1], s_basis, dim)
+    for start in range(0, trials, batch):
+        g = gen.normal(size=(min(batch, trials - start), *shape))
+        hits += int(np.count_nonzero(hit(g)))
     return hits / trials

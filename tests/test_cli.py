@@ -116,6 +116,19 @@ class TestKinematics:
     def test_requires_body_choice_exit_2(self, tmp_path):
         assert run(["kinematics", "--dim", 10, "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--k-step", 0, "--subspace-dim", 4],
+            ["--dim", 0, "--half-angle-deg", 30],
+            ["--k-min", 5, "--k-max", 2, "--subspace-dim", 4],
+        ],
+        ids=["zero-step", "zero-dim", "empty-range"],
+    )
+    def test_bad_sweep_exit_2(self, tmp_path, flags):
+        assert run(["kinematics", *flags, "--trials", 200, "--out", tmp_path]) == 2
+        assert not (tmp_path / "kinematics.csv").exists()
+
 
 class TestSaturate:
     def test_csv_and_plot(self, tmp_path, small_config):
@@ -147,6 +160,22 @@ class TestSaturate:
     def test_malformed_config_exit_2(self, tmp_path, cfg):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
+        assert run(["saturate", "--config", bad, "--out", tmp_path]) == 2
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"seed": "a"}, {"seed": 1.5}, {"dimension": True}, {"rank": None}, {"rho": "0.5"}],
+        ids=["seed-str", "seed-float", "dimension-bool", "rank-null", "rho-str"],
+    )
+    def test_mistyped_config_exit_2(self, tmp_path, cfg):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert run(["saturate", "--config", bad, "--out", tmp_path]) == 2
+        assert not (tmp_path / "saturation.csv").exists()
+
+    def test_non_utf8_config_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
         assert run(["saturate", "--config", bad, "--out", tmp_path]) == 2
 
 
@@ -189,4 +218,9 @@ class TestReport:
     def test_malformed_report_exit_2(self, tmp_path, text):
         src = tmp_path / "in.json"
         src.write_text(text)
+        assert run(["report", src, "--out", tmp_path]) == 2
+
+    def test_non_utf8_report_exit_2(self, tmp_path):
+        src = tmp_path / "in.json"
+        src.write_bytes(b"\xff\xfe{}")
         assert run(["report", src, "--out", tmp_path]) == 2

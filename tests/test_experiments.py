@@ -57,6 +57,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(dimension=0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"seed": "a"}, {"seed": 1.5}, {"n_experts": False}, {"rank": 2.0}, {"sigma2": "1"},
+         {"epsilon": None}, {"delta": True}],
+    )
+    def test_field_types_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(fields)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = ExperimentConfig(seed=np.int64(3), rho=np.float64(0.25))
+        assert cfg.seed == 3 and cfg.rho == 0.25
+
 
 class TestGenExperts:
     def test_fully_correlated_identical(self):
@@ -201,6 +214,20 @@ class TestRunKinematics:
             run_kinematics(10, [1], 200, RngStream(70, 2))
         with pytest.raises(ConfigError):
             run_kinematics(10, [1], 200, RngStream(70, 3), half_angle=0.5, subspace_dim=2)
+
+    @pytest.mark.parametrize(
+        "dim, k_values",
+        [(0, [1]), (10, []), (10, range(5, 3))],
+        ids=["zero-dim", "empty", "empty-range"],
+    )
+    def test_bad_sweep_rejected(self, dim, k_values):
+        with pytest.raises(ConfigError):
+            run_kinematics(dim, k_values, 200, RngStream(70, 5), half_angle=0.5)
+
+    def test_matches_committed_demo(self):
+        rep = run_kinematics(60, range(1, 61), 300, RngStream(0, 30), half_angle=math.radians(30))
+        committed = Path(__file__).parents[1] / "demos" / "out" / "kinematics_30deg.csv"
+        assert rep.to_csv().encode() == committed.read_bytes()
 
     def test_rows_json_safe(self):
         rep = run_kinematics(8, [2, 6], 200, RngStream(70, 4), subspace_dim=4)

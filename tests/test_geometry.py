@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy import optimize as sciopt
+from scipy import stats
 
+from mergelimits import geometry
 from mergelimits.errors import ConfigError
 from mergelimits.geometry import (
     CircularCone,
@@ -304,3 +306,47 @@ class TestKinematics:
     def test_haar_is_orthogonal(self):
         q = haar_orthogonal(12, RngStream(45, 103).generator())
         assert np.max(np.abs(q.T @ q - np.eye(12))) < 1e-10
+
+    @pytest.mark.parametrize("deg", [20, 30, 45])
+    def test_cone_matches_beta_law(self, deg):
+        # |Pi_S u|^2 ~ Beta(k/2, (D-k)/2), so P(hit) = beta.sf(cos^2 a, k/2, (D-k)/2).
+        d, trials = 60, 500
+        axis = np.zeros(d)
+        axis[0] = 1.0
+        cone = CircularCone(axis, math.radians(deg))
+        c2 = math.cos(math.radians(deg)) ** 2
+        for k in range(1, d + 1):
+            p = kinematics_transition(d, cone, k, trials, RngStream(46, 100 * deg + k))
+            exact = 1.0 if k == d else stats.beta.sf(c2, k / 2, (d - k) / 2)
+            stderr = max(math.sqrt(exact * (1 - exact) / trials), 0.5 / trials)
+            assert abs(p - exact) <= 4.5 * stderr, (k, p, exact)
+
+    def test_never_builds_haar_matrix(self, monkeypatch):
+        def no_haar(*args, **kwargs):
+            raise AssertionError("kinematics_transition built a Haar matrix")
+
+        monkeypatch.setattr(geometry, "haar_orthogonal", no_haar)
+        axis = np.zeros(10)
+        axis[0] = 1.0
+        cone = CircularCone(axis, math.radians(30))
+        assert 0.0 <= kinematics_transition(10, cone, 5, 100, RngStream(45, 104)) <= 1.0
+        assert kinematics_transition(10, 4, 3, 100, RngStream(45, 105)) == 0.0
+
+    def test_subspace_draws_nothing_when_dimensions_force_a_hit(self):
+        class NoDraws:
+            def generator(self):
+                raise AssertionError("drew random numbers for a forced hit")
+
+        assert kinematics_transition(10, 4, 7, 100, NoDraws()) == 1.0
+
+    @pytest.mark.parametrize("chunk", ["one-trial", "all-trials"])
+    def test_chunk_size_does_not_change_result(self, monkeypatch, chunk):
+        d, trials = 30, 300
+        axis = np.zeros(d)
+        axis[0] = 1.0
+        cases = [(CircularCone(axis, math.radians(30)), k) for k in (18, 22, 26)] + [(10, 15)]
+        before = [kinematics_transition(d, b, k, trials, RngStream(45, 106)) for b, k in cases]
+        monkeypatch.setattr(geometry, "_CHUNK_NORMALS", 1 if chunk == "one-trial" else d * d * trials)
+        after = [kinematics_transition(d, b, k, trials, RngStream(45, 106)) for b, k in cases]
+        assert after == before
+        assert 0.0 < before[1] < 1.0
