@@ -55,7 +55,7 @@ def cmd_gen_experts(args) -> None:
     experts = experiments.gen_experts(cfg, low_rank=args.low_rank)
     os.makedirs(args.out, exist_ok=True)
     for i, e in enumerate(experts):
-        vec = merge.materialize_delta(e) if isinstance(e, tensorio.LowRankDelta) else e
+        vec = e.dense().reshape(-1) if isinstance(e, tensorio.LowRankDelta) else e
         path = os.path.join(args.out, f"expert_{i:03d}.mmpv")
         tensorio.write_pvec(vec, path)
         print(path)

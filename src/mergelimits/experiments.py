@@ -24,7 +24,7 @@ from . import geometry, merge, rht
 from .errors import ConfigError
 from .tensorio import LowRankDelta, RngStream
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ class ExperimentConfig:
     epsilon: float = 0.5
     spectrum: SpectrumDescriptor = field(default_factory=SpectrumDescriptor)
     rht_params: rht.RHTParams = field(default_factory=rht.RHTParams)
-    out_dir: str = "."
 
     def __post_init__(self):
         for name in ("seed", "dimension", "n_experts", "rank"):
@@ -82,9 +81,7 @@ class ExperimentConfig:
             raise ConfigError("delta and epsilon must be > 0")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["rht_params"]["target"] = self.rht_params.target.value
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -94,16 +91,12 @@ class ExperimentConfig:
         unknown = set(d) - {f for f in ExperimentConfig.__dataclass_fields__}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        # Nested objects raise TypeError on unknown keys or non-mappings and
-        # RHTTarget raises ValueError on an unknown value.
+        # Nested objects raise TypeError on unknown keys or non-mappings.
         try:
             if "spectrum" in d:
                 d["spectrum"] = SpectrumDescriptor(**d["spectrum"])
             if "rht_params" in d:
-                rp = dict(d["rht_params"])
-                if "target" in rp:
-                    rp["target"] = rht.RHTTarget(rp["target"])
-                d["rht_params"] = rht.RHTParams(**rp)
+                d["rht_params"] = rht.RHTParams(**d["rht_params"])
             return ExperimentConfig(**d)
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
@@ -353,7 +346,7 @@ def run_kinematics(
         )
     else:
         body = int(subspace_dim)
-        statdim, statdim_se = geometry.statdim_subspace(body), 0.0
+        statdim, statdim_se = float(subspace_dim), 0.0
 
     rows = []
     crossing = None

@@ -2,9 +2,9 @@
 
 Gaussian width of the ellipsoid {theta : (theta - theta*)^T H (theta -
 theta*) <= 2 eps} both in the Jensen closed form sqrt(2 eps sum 1/lambda_i)
-and by Monte Carlo, diminishing marginal gains, statistical dimension of
-subspaces and circular cones, the projected-width redundancy threshold, and
-the kinematic phase transition between a cone and a Haar-rotated subspace.
+and by Monte Carlo, diminishing marginal gains, the statistical dimension of
+circular cones, the projected-width redundancy threshold, and the kinematic
+phase transition between a cone or subspace and a Haar-rotated subspace.
 """
 
 from __future__ import annotations
@@ -162,13 +162,6 @@ def redundancy_bound_check(task: QuadraticTask, theta_k: np.ndarray, active: int
     return active <= task.dim - projected_width_sq(task, theta_k, active) + _ANGLE_TOL
 
 
-def statdim_subspace(k: int) -> float:
-    """Statistical dimension of a k-dimensional subspace is exactly k."""
-    if k < 0:
-        raise ConfigError(f"k must be >= 0, got {k}")
-    return float(k)
-
-
 def project_circular_cone(x: np.ndarray, cone: CircularCone) -> np.ndarray:
     """Euclidean-nearest point of the cone.
 
@@ -227,49 +220,33 @@ def kinematics_transition(
     trials: int,
     stream: RngStream,
 ) -> float:
-    """Empirical probability that C intersects a Haar-rotated k-subspace S.
+    """Probability that C intersects a Haar-rotated k-subspace S.
 
     cone_or_subspace is a CircularCone or an int k1, the fixed subspace
-    E_k1 spanned by the first k1 coordinate axes. Each trial draws only
-    what its test reads:
+    E_k1 spanned by the first k1 coordinate axes.
 
-    - Cone: S meets the cone nontrivially iff arccos |Pi_S u| <= half_angle
-      (+ 1e-10 rad). By rotation invariance |Pi_S u|^2 has the law of
-      sum_{i<k} g_i^2 / |g|^2 for g ~ N(0, I_D), so a trial is one
-      D-vector.
-    - Subspace: when k1 + k > D the two always meet and nothing is drawn.
-      Otherwise S is the span of a D x k Gaussian with orthonormal basis Q,
-      and S meets E_k1 iff sigma_min(Q[k1:]) < 1e-8 (the sine of the
-      smallest principal angle between them).
+    - Subspace: exact. Two subspaces in general position meet nontrivially
+      iff k1 + k > D, so this returns that indicator and draws nothing.
+    - Cone: Monte Carlo over `trials` draws. S meets the cone nontrivially
+      iff arccos |Pi_S u| <= half_angle (+ 1e-10 rad). By rotation
+      invariance |Pi_S u|^2 has the law of sum_{i<k} g_i^2 / |g|^2 for
+      g ~ N(0, I_D), so a trial is one D-vector.
     """
     if trials < 100:
         raise ConfigError(f"need >= 100 trials, got {trials}")
     if not 0 < k <= dim:
         raise ConfigError(f"k must be in (0, {dim}], got {k}")
-    if isinstance(cone_or_subspace, CircularCone):
-        limit = cone_or_subspace.half_angle + _ANGLE_TOL
-
-        def hit(g):
-            ratio = np.sum(g[:, :k] ** 2, axis=1) / np.sum(g * g, axis=1)
-            return np.arccos(np.minimum(np.sqrt(ratio), 1.0)) <= limit
-
-        shape = (dim,)
-    else:
+    if not isinstance(cone_or_subspace, CircularCone):
         k1 = int(cone_or_subspace)
         if not 0 < k1 <= dim:
             raise ConfigError(f"subspace dim must be in (0, {dim}], got {k1}")
-        if k1 + k > dim:
-            return 1.0
-
-        def hit(g):
-            q, _ = np.linalg.qr(g)
-            return np.linalg.svd(q[:, k1:, :], compute_uv=False)[:, -1] < 1e-8
-
-        shape = (dim, k)
+        return 1.0 if k1 + k > dim else 0.0
+    limit = cone_or_subspace.half_angle + _ANGLE_TOL
     gen = stream.generator()
-    batch = max(1, _CHUNK_NORMALS // math.prod(shape))
+    batch = max(1, _CHUNK_NORMALS // dim)
     hits = 0
     for start in range(0, trials, batch):
-        g = gen.normal(size=(min(batch, trials - start), *shape))
-        hits += int(np.count_nonzero(hit(g)))
+        g = gen.normal(size=(min(batch, trials - start), dim))
+        ratio = np.sum(g[:, :k] ** 2, axis=1) / np.sum(g * g, axis=1)
+        hits += int(np.count_nonzero(np.arccos(np.minimum(np.sqrt(ratio), 1.0)) <= limit))
     return hits / trials

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .tensorio import LowRankDelta, RngStream, as_matrix, as_pvec
+from .tensorio import as_matrix, as_pvec
 
 _SIMPLEX_TOL = 1e-12
 
@@ -99,11 +99,6 @@ class TerminationPolicy:
     def __post_init__(self):
         if not self.delta > 0:
             raise ConfigError(f"delta must be > 0, got {self.delta}")
-
-
-def materialize_delta(d: LowRankDelta) -> np.ndarray:
-    """Flatten scale * left @ right into a row-major parameter vector."""
-    return as_pvec(d.dense().reshape(-1))
 
 
 def merge_linear(experts: Sequence[np.ndarray], w: MergeWeights) -> np.ndarray:
@@ -202,7 +197,6 @@ def optimize_weights(
     objective: Callable[[np.ndarray], float],
     iters: int = 200,
     step: float = 0.1,
-    stream: RngStream | None = None,
 ) -> MergeWeights:
     """Projected gradient descent for merge weights on the simplex.
 

@@ -60,6 +60,11 @@ class SpectrumReport:
         return int(np.sum(self.singular_values > _ZERO_SV))
 
 
+# Negated band edges -e^0 < -e^-1 < ... < -e^-13. Searching -s with
+# side="left" counts the edges e^-k with s < e^-k, which is the band index.
+_NEG_BAND_EDGES = -np.array([math.exp(-k) for k in range(N_LOG_BANDS + 1)])
+
+
 def band_counts(singular_values: np.ndarray) -> np.ndarray:
     """Histogram of singular values over the log bands described above.
 
@@ -67,20 +72,8 @@ def band_counts(singular_values: np.ndarray) -> np.ndarray:
     i.e. in [e^-k, e^-(k-1)).
     """
     sv = np.asarray(singular_values, dtype=np.float64)
-    counts = np.zeros(N_LOG_BANDS + 2, dtype=np.int64)
-    for s in sv:
-        if s >= 1.0:
-            counts[0] += 1
-        elif s < math.exp(-N_LOG_BANDS):
-            counts[-1] += 1
-        else:
-            # s in [e^-(k+1), e^-k); an exact edge value e^-k belongs to band k-1.
-            k = int(math.floor(-math.log(s)))
-            if s >= math.exp(-k):
-                k -= 1
-            k = min(max(k, 0), N_LOG_BANDS - 1)
-            counts[1 + k] += 1
-    return counts
+    idx = np.searchsorted(_NEG_BAND_EDGES, -sv, side="left")
+    return np.bincount(idx, minlength=N_LOG_BANDS + 2).astype(np.int64)
 
 
 def spectrum_report(singular_values: np.ndarray) -> SpectrumReport:

@@ -154,8 +154,9 @@ class TestSaturate:
             {"spectrum": 5},
             {"rht_params": {"bogus": 1}},
             {"rht_params": {"target": "x"}},
+            {"out_dir": "x"},
         ],
-        ids=["not-object", "spectrum-key", "spectrum-type", "rht-key", "rht-target"],
+        ids=["not-object", "spectrum-key", "spectrum-type", "rht-key", "rht-target", "out-dir"],
     )
     def test_malformed_config_exit_2(self, tmp_path, cfg):
         bad = tmp_path / "bad.json"

@@ -17,7 +17,6 @@ from mergelimits.geometry import (
     projected_width_sq,
     redundancy_bound_check,
     statdim_cone_mc,
-    statdim_subspace,
     width_jensen,
     width_mc,
 )
@@ -201,10 +200,6 @@ class TestRedundancyBound:
 
 
 class TestStatDim:
-    def test_subspace_exact(self):
-        assert statdim_subspace(0) == 0.0
-        assert statdim_subspace(50) == 50.0
-
     def test_subspace_mc_cross_check(self):
         # Projection of g onto a k-dim subspace has E|.|^2 = k (chi-square mean).
         gen = RngStream(43, 0).generator()
@@ -212,7 +207,7 @@ class TestStatDim:
         g = gen.normal(size=(n, d))
         sq = np.sum(g[:, :k] ** 2, axis=1)
         stderr = sq.std(ddof=1) / math.sqrt(n)
-        assert abs(sq.mean() - statdim_subspace(k)) < 3 * stderr
+        assert abs(sq.mean() - k) < 3 * stderr
 
     def test_cone_mc_two_seeds_agree(self):
         axis = np.zeros(20)
@@ -335,9 +330,16 @@ class TestKinematics:
     def test_subspace_draws_nothing_when_dimensions_force_a_hit(self):
         class NoDraws:
             def generator(self):
-                raise AssertionError("drew random numbers for a forced hit")
+                raise AssertionError("drew random numbers for a subspace")
 
-        assert kinematics_transition(10, 4, 7, 100, NoDraws()) == 1.0
+        d, k1 = 10, 4
+        for k in range(1, d + 1):
+            assert kinematics_transition(d, k1, k, 100, NoDraws()) == (1.0 if k1 + k > d else 0.0)
+
+    @pytest.mark.parametrize("k", [3, 7], ids=["miss", "hit"])
+    def test_subspace_still_validates_trials(self, k):
+        with pytest.raises(ConfigError):
+            kinematics_transition(10, 4, k, 99, RngStream(45, 107))
 
     @pytest.mark.parametrize("chunk", ["one-trial", "all-trials"])
     def test_chunk_size_does_not_change_result(self, monkeypatch, chunk):

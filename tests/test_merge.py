@@ -11,7 +11,6 @@ from mergelimits.merge import (
     MergeWeights,
     TerminationCriterion,
     TerminationPolicy,
-    materialize_delta,
     merge_linear,
     merged_variance,
     merged_variance_equicorrelated,
@@ -25,13 +24,15 @@ from mergelimits.tensorio import LowRankDelta, RngStream
 
 
 class TestMaterializeDelta:
+    """A LowRankDelta flattened row-major, as gen-experts --low-rank writes it."""
+
     def test_hand_product(self):
         d = LowRankDelta(np.array([[1.0], [0.0]]), np.array([[2.0, 3.0]]))
-        assert materialize_delta(d).tolist() == [2.0, 3.0, 0.0, 0.0]
+        assert d.dense().reshape(-1).tolist() == [2.0, 3.0, 0.0, 0.0]
 
     def test_zero_scale(self):
         d = LowRankDelta(np.ones((3, 2)), np.ones((2, 3)), scale=0.0)
-        assert np.array_equal(materialize_delta(d), np.zeros(9))
+        assert np.array_equal(d.dense().reshape(-1), np.zeros(9))
 
     def test_dense_product_oracle(self):
         gen = RngStream(3, 0).generator()
@@ -39,7 +40,7 @@ class TestMaterializeDelta:
         right = gen.normal(size=(2, 8))
         d = LowRankDelta(left, right, scale=1.7)
         brute = (1.7 * left @ right).reshape(-1)
-        assert np.max(np.abs(materialize_delta(d) - brute)) < 1e-12
+        assert np.max(np.abs(d.dense().reshape(-1) - brute)) < 1e-12
 
 
 class TestMergeLinear:

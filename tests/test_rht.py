@@ -7,7 +7,6 @@ from scipy import integrate, stats
 from mergelimits.errors import ConfigError
 from mergelimits.rht import (
     RHTParams,
-    RHTTarget,
     TinyNetSpec,
     apply_rht,
     coverage_proxy,
@@ -25,7 +24,7 @@ from mergelimits.tensorio import RngStream
 class TestParams:
     def test_defaults_valid(self):
         p = RHTParams()
-        assert p.gamma == 0.5 and p.target is RHTTarget.DELTA
+        assert p.gamma == 0.5
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ConfigError):
@@ -126,9 +125,11 @@ class TestDensity:
         for y in (0.1, 0.7, 2.0):
             assert rht_density(y, 1.0, p) == rht_density(-y, 1.0, p)
 
-    def test_normalized(self):
-        p = RHTParams(gamma=0.5, alpha=0.0)
-        total, _ = integrate.quad(lambda t: rht_density(t, 1.3, p), -np.inf, np.inf, limit=200)
+    @pytest.mark.parametrize("sigma2", [0.1, 1.3, 10.0])
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])
+    def test_normalized(self, gamma, sigma2):
+        p = RHTParams(gamma=gamma, alpha=0.0)
+        total, _ = integrate.quad(lambda t: rht_density(t, sigma2, p), -np.inf, np.inf, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])

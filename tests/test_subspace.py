@@ -16,6 +16,18 @@ from mergelimits.subspace import (
 from mergelimits.tensorio import LowRankDelta, RngStream
 
 
+def scalar_band(s: float) -> int:
+    """Reference band index of one value, by logarithm and edge comparison."""
+    if s >= 1.0:
+        return 0
+    if s < math.exp(-N_LOG_BANDS):
+        return N_LOG_BANDS + 1
+    k = int(math.floor(-math.log(s)))
+    if s >= math.exp(-k):
+        k -= 1
+    return 1 + min(max(k, 0), N_LOG_BANDS - 1)
+
+
 class TestBandCounts:
     def test_overflow_band(self):
         counts = band_counts(np.array([1.0, 2.5, 100.0]))
@@ -32,6 +44,20 @@ class TestBandCounts:
         for k in range(1, N_LOG_BANDS):
             counts = band_counts(np.array([math.exp(-k)]))
             assert counts[1 + (k - 1)] == 1, f"edge e^-{k}"
+            # The neighbours one ulp either side fall in the bands around the edge.
+            below = band_counts(np.array([np.nextafter(math.exp(-k), 0.0)]))
+            assert below[1 + k] == 1, f"just below e^-{k}"
+            above = band_counts(np.array([np.nextafter(math.exp(-k), 1.0)]))
+            assert above[1 + (k - 1)] == 1, f"just above e^-{k}"
+
+    def test_matches_scalar_reference(self):
+        edges = [math.exp(-k) for k in range(N_LOG_BANDS + 2)]
+        vals = [0.0, 1e-30] + edges + [np.nextafter(e, 0.0) for e in edges]
+        vals += [np.nextafter(e, 2.0) for e in edges]
+        gen = RngStream(60, 2).generator()
+        vals = np.concatenate([vals, np.exp(gen.uniform(-16, 2, size=20_000))])
+        expected = np.bincount([scalar_band(s) for s in vals], minlength=N_LOG_BANDS + 2)
+        assert np.array_equal(band_counts(vals), expected)
 
     def test_underflow_band(self):
         counts = band_counts(np.array([0.0, 1e-30, math.exp(-14)]))
