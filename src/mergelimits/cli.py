@@ -64,7 +64,10 @@ def cmd_gen_experts(args) -> None:
 def cmd_merge(args) -> None:
     experts = [tensorio.read_pvec(p) for p in args.experts]
     if args.weights:
-        alphas = np.array([float(x) for x in args.weights.split(",")])
+        try:
+            alphas = np.array([float(x) for x in args.weights.split(",")])
+        except ValueError as e:
+            raise ConfigError(f"--weights must be comma-separated numbers: {e}") from e
         w = merge.MergeWeights(alphas)
     else:
         w = merge.MergeWeights.uniform(len(experts))

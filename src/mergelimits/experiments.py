@@ -183,8 +183,6 @@ def gen_experts(cfg: ExperimentConfig, low_rank: bool = False):
     SVD factors and rescales to preserve the Frobenius norm (second
     moments stay near target).
     """
-    if cfg.rho < 0:
-        raise ConfigError("shared-factor construction requires rho >= 0")
     stream = RngStream(cfg.seed, 1)
     gen = stream.generator()
     sigma = math.sqrt(cfg.sigma2)
@@ -214,34 +212,17 @@ def gen_experts(cfg: ExperimentConfig, low_rank: bool = False):
     return deltas
 
 
-_SKIP_CHUNK = 1 << 16
-
-
-def _skip_normals(gen: np.random.Generator, n: int) -> None:
-    """Advance gen past n standard normals, holding at most _SKIP_CHUNK."""
-    buf = np.empty(min(n, _SKIP_CHUNK))
-    while n > 0:
-        m = min(n, buf.size)
-        gen.standard_normal(out=buf[:m])
-        n -= m
-
-
 def gen_quadratic_task(cfg: ExperimentConfig) -> geometry.QuadraticTask:
     """Random-basis quadratic task with the configured spectrum.
 
-    Stream 2 holds the D x D Gaussian block of the Haar basis, then
-    theta_star. The block is skipped here and replayed from the start of
-    the stream only when task.basis is first read.
+    theta_star is the first D normals of stream 2. The Haar basis is drawn
+    from stream 5 only when task.basis is first read; no runner reads it.
     """
-    stream = RngStream(cfg.seed, 2)
-    gen = stream.generator()
     d = cfg.dimension
-    _skip_normals(gen, d * d)
-    theta_star = gen.normal(size=d)
     return geometry.QuadraticTask(
-        theta_star,
+        RngStream(cfg.seed, 2).generator().normal(size=d),
         cfg.spectrum.eigenvalues(d),
-        lambda: geometry.haar_orthogonal(d, stream.generator()),
+        lambda: geometry.haar_orthogonal(d, RngStream(cfg.seed, 5).generator()),
         cfg.epsilon,
     )
 
@@ -324,7 +305,6 @@ def run_kinematics(
     stream: RngStream,
     half_angle: Optional[float] = None,
     subspace_dim: Optional[int] = None,
-    statdim_samples: int = 20_000,
 ) -> Report:
     """Intersection-probability curve for a cone (or fixed subspace) vs a
     Haar-rotated k-subspace, swept over k."""
@@ -342,7 +322,7 @@ def run_kinematics(
         axis[0] = 1.0
         body = geometry.CircularCone(axis, half_angle)
         statdim, statdim_se = geometry.statdim_cone_mc(
-            body, dim, statdim_samples, stream.substream(0)
+            body, dim, 20_000, stream.substream(0)
         )
     else:
         body = int(subspace_dim)
@@ -378,35 +358,31 @@ _RHT_STUDY_COLUMNS = ["n", "loss_baseline", "loss_rht", "var_baseline", "var_rht
 def run_rht_study(cfg: ExperimentConfig) -> Report:
     """Paired saturation curves, merged deltas as-is vs reparameterized.
 
-    Both branches score the same merged vectors on the same quadratic task;
-    the RHT branch transforms each merged delta before scoring. Also emits
-    the coverage-proxy pair (gaussian vs rht samplers at a shared seed) and
-    tail diagnostics of the last transformed delta.
+    All 2N vectors are scored in one geometry.rotated_losses call, under one
+    Haar orientation of the task (stream 6), so the branches stay paired;
+    the losses are exact in law, not those of one materialised basis. Also
+    emits the coverage-proxy pair (gaussian vs rht samplers at a shared
+    seed) and tail diagnostics of the last transformed delta.
     """
     experts = gen_experts(cfg)
     task = gen_quadratic_task(cfg)
-    rows = []
-    transformed_last = None
+    merged, transformed = [], []
     for n in range(1, cfg.n_experts + 1):
-        merged = merge.merge_linear(experts[:n], merge.MergeWeights.uniform(n))
-        transformed = rht.apply_rht(merged, cfg.rht_params, RngStream(cfg.seed, 100 + n))
-        transformed_last = transformed
-        rows.append(
-            [
-                n,
-                task.loss(merged),
-                task.loss(transformed),
-                float(merged.var()),
-                float(transformed.var()),
-            ]
-        )
+        merged.append(merge.merge_linear(experts[:n], merge.MergeWeights.uniform(n)))
+        transformed.append(rht.apply_rht(merged[-1], cfg.rht_params, RngStream(cfg.seed, 100 + n)))
+    offsets = np.stack(merged + transformed, axis=1) - task.theta_star[:, None]
+    losses = geometry.rotated_losses(task.eigenvalues, offsets, RngStream(cfg.seed, 6))
+    rows = [
+        [n, float(lb), float(lr), float(m.var()), float(t.var())]
+        for n, (lb, lr, m, t) in enumerate(zip(*losses.reshape(2, -1), merged, transformed), 1)
+    ]
     net = rht.TinyNetSpec()
     cov_stream = RngStream(cfg.seed, 50)
     c1, range1 = rht.coverage_proxy(net, "gaussian", 2000, cov_stream)
     c2, range2 = rht.coverage_proxy(net, "rht", 2000, cov_stream, rht_params=cfg.rht_params)
     diag = None
-    if transformed_last is not None and transformed_last.size >= 10_000:
-        r = rht.tail_diagnostics(transformed_last)
+    if transformed[-1].size >= 10_000:
+        r = rht.tail_diagnostics(transformed[-1])
         diag = {
             "excess_kurtosis": r.excess_kurtosis,
             "hill_exponent": r.hill_exponent,

@@ -207,6 +207,19 @@ def haar_orthogonal(dim: int, gen: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def rotated_losses(eigenvalues, vectors, stream: RngStream) -> np.ndarray:
+    """Losses 0.5 v^T Q diag(lambda) Q^T v of the columns of `vectors` (D x m)
+    under one Haar orientation Q, exact in law, in O(D m^2) without building
+    Q: with the thin QR V = W R, Q^T V = (Q^T W) R and Q^T W is a Haar frame,
+    the sign-corrected QR of a D x min(D, m) Gaussian (arXiv:math-ph/0609050).
+    """
+    lam = as_pvec(eigenvalues)
+    r = np.linalg.qr(as_matrix(vectors, rows=lam.size), mode="r")
+    f, s = np.linalg.qr(stream.generator().normal(size=(lam.size, r.shape[0])))
+    z = (f * np.sign(np.diag(s))) @ r
+    return 0.5 * (lam @ (z * z))
+
+
 # Normals drawn per batch in kinematics_transition. Consecutive draws from
 # one generator give the same numbers as a single large draw, so this bounds
 # memory without changing results.

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize, stats
 
 from .errors import ConfigError, NumericError
-from .tensorio import RngStream, as_pvec
+from .tensorio import RngStream, as_matrix, as_pvec
 
 # Grid used to certify that T is strictly increasing for a parameter set.
 _MONO_GRID = np.logspace(-9, 4, 10_000)
@@ -79,6 +78,7 @@ def rht_map(x, p: RHTParams):
 
 def rht_inverse(y: float, p: RHTParams) -> float:
     """Solve T(x) = y for the validated (strictly increasing) T."""
+    from scipy import optimize
     if y == 0:
         return 0.0
     ay = abs(y)
@@ -128,6 +128,7 @@ def rht_density(y, sigma2_total: float, p: RHTParams):
 
 def rht_cdf(y, sigma2_total: float, p: RHTParams):
     """CDF of the alpha = 0 pushforward: Phi(sign(y) |y|^(1/gamma) / sigma)."""
+    from scipy import stats
     if p.alpha != 0:
         raise ConfigError("analytic CDF requires the pure-power case alpha = 0")
     y = np.asarray(y, dtype=np.float64)
@@ -172,6 +173,7 @@ def tail_diagnostics(
     cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> TailReport:
     """Excess kurtosis, Hill exponent, and optional KS distance vs a CDF."""
+    from scipy import stats
     x = as_pvec(samples)
     if x.size < 10_000:
         raise ConfigError(f"need >= 10^4 samples, got {x.size}")
@@ -213,20 +215,23 @@ class TinyNetSpec:
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     def forward(self, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """Outputs for one flat parameter vector, shape (n_inputs,)."""
-        params = as_pvec(params, self.param_count)
-        h = inputs
-        pos = 0
+        """Outputs for one flat parameter vector, shape (n_inputs,), or for each
+        row of an (n, param_count) stack, shape (n, n_inputs). A stacked matmul
+        runs each row's own 2-D product, so rows equal single-vector outputs."""
+        single = np.ndim(params) == 1
+        cols = self.param_count
+        p = as_pvec(params, cols)[None] if single else as_matrix(params, cols=cols)
+        h, pos = inputs, 0
         for i in range(len(self.widths) - 1):
             n_in, n_out = self.widths[i], self.widths[i + 1]
-            w = params[pos : pos + n_in * n_out].reshape(n_in, n_out)
+            w = p[:, pos : pos + n_in * n_out].reshape(-1, n_in, n_out)
             pos += n_in * n_out
-            b = params[pos : pos + n_out]
+            b = p[:, None, pos : pos + n_out]
             pos += n_out
             h = h @ w + b
             if i < len(self.widths) - 2:
                 h = np.tanh(h)
-        return h[:, 0]
+        return h[0, :, 0] if single else h[:, :, 0]
 
 
 def coverage_proxy(
@@ -261,9 +266,9 @@ def coverage_proxy(
                 draws.reshape(-1), 0.0, p.sigma_g_ratio * float(draws.std()), noise_stream
             )
             draws = rht_map(flat, p).reshape(n_samples, net.param_count)
-    outputs = np.empty((n_samples, grid.shape[0]))
-    for i in range(n_samples):
-        outputs[i] = net.forward(draws[i], grid)
+    # Stacked forward passes of 256 samples keep the intermediates near 1 MB.
+    starts = range(0, n_samples, 256)
+    outputs = np.concatenate([net.forward(draws[s : s + 256], grid) for s in starts])
     var_per_input = outputs.var(axis=0)
     range_per_input = outputs.max(axis=0) - outputs.min(axis=0)
     return float(var_per_input.mean()), float(range_per_input.mean())

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError
 from .tensorio import LowRankDelta, as_matrix
 
-# Singular values below this are exact zeros for rank counting.
+# Singular values at or below this are treated as exact zeros.
 _ZERO_SV = 1e-30
 
 N_LOG_BANDS = 13  # k = 0..12, plus overflow [1, inf) and underflow (0, e^-13)
@@ -23,7 +23,7 @@ N_LOG_BANDS = 13  # k = 0..12, plus overflow [1, inf) and underflow (0, e^-13)
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Singular values with explained-variance fractions and log-band counts.
+    """Singular values, explained-variance fractions, log-band counts, numerical rank.
 
     counts_per_log_band has N_LOG_BANDS + 2 entries: index 0 is the overflow
     band [e^0, inf), index 1 + k is [e^-(k+1), e^-k) for k = 0..12, and the
@@ -34,6 +34,7 @@ class SpectrumReport:
     explained_fractions: np.ndarray
     counts_per_log_band: np.ndarray
     degenerate: bool = False
+    rank: int = 0
 
     def __post_init__(self):
         sv = np.asarray(self.singular_values, dtype=np.float64)
@@ -55,10 +56,6 @@ class SpectrumReport:
             return np.zeros_like(self.counts_per_log_band, dtype=np.float64)
         return self.counts_per_log_band / total
 
-    @property
-    def rank(self) -> int:
-        return int(np.sum(self.singular_values > _ZERO_SV))
-
 
 # Negated band edges -e^0 < -e^-1 < ... < -e^-13. Searching -s with
 # side="left" counts the edges e^-k with s < e^-k, which is the band index.
@@ -76,13 +73,18 @@ def band_counts(singular_values: np.ndarray) -> np.ndarray:
     return np.bincount(idx, minlength=N_LOG_BANDS + 2).astype(np.int64)
 
 
-def spectrum_report(singular_values: np.ndarray) -> SpectrumReport:
+def spectrum_report(singular_values: np.ndarray, shape=None) -> SpectrumReport:
+    """Report on the singular values of a matrix of shape (rows, cols), square
+    if omitted. rank counts the values above numpy.linalg.matrix_rank's
+    tolerance sigma_max * max(rows, cols) * eps, so round-off does not count."""
     sv = np.sort(np.asarray(singular_values, dtype=np.float64))[::-1]
+    side = max(shape) if shape is not None else sv.size
+    rank = int(np.sum(sv > sv[0] * side * np.finfo(np.float64).eps)) if sv.size else 0
     power = sv * sv
     total = power.sum()
     if total <= 0:
-        return SpectrumReport(sv, np.zeros_like(sv), band_counts(sv), degenerate=True)
-    return SpectrumReport(sv, power / total, band_counts(sv))
+        return SpectrumReport(sv, np.zeros_like(sv), band_counts(sv), True, rank)
+    return SpectrumReport(sv, power / total, band_counts(sv), False, rank)
 
 
 def pca_explained(stacked_deltas: np.ndarray, center: bool = True) -> SpectrumReport:
@@ -96,7 +98,7 @@ def pca_explained(stacked_deltas: np.ndarray, center: bool = True) -> SpectrumRe
         m = m - m.mean(axis=0, keepdims=True)
     sv = np.linalg.svd(m, compute_uv=False)
     sv = np.where(sv > _ZERO_SV, sv, 0.0)
-    return spectrum_report(sv)
+    return spectrum_report(sv, m.shape)
 
 
 def components_for_threshold(report: SpectrumReport, frac: float) -> int:
@@ -142,4 +144,4 @@ def sv_tail_stats(delta) -> SpectrumReport:
     sv = np.linalg.svd(m, compute_uv=False)
     if np.all(sv <= _ZERO_SV):
         raise ConfigError("degenerate (all-zero) matrix")
-    return spectrum_report(sv)
+    return spectrum_report(sv, m.shape)

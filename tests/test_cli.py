@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mergelimits
 from mergelimits import geometry
 from mergelimits.cli import main
 from mergelimits.experiments import ExperimentConfig, Report
@@ -20,6 +24,21 @@ def small_config(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def test_import_leaves_scipy_submodules_unloaded():
+    # scipy.stats and scipy.optimize cost ~1 s of import; only the calls that
+    # need them import them.
+    code = (
+        "import sys, mergelimits.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mergelimits.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestGenExperts:
@@ -65,6 +84,15 @@ class TestMerge:
         p = tmp_path / "a.mmpv"
         write_pvec(np.ones(2), p)
         assert run(["merge", p, "--weights", "0.4", "--out", tmp_path]) == 2
+
+    @pytest.mark.parametrize("weights", ["a,b", "0.5,", "0.5;0.5"])
+    def test_non_numeric_weights_exit_2(self, tmp_path, weights, capsys):
+        p1, p2 = tmp_path / "a.mmpv", tmp_path / "b.mmpv"
+        write_pvec(np.ones(2), p1)
+        write_pvec(np.ones(2), p2)
+        assert run(["merge", p1, p2, "--weights", weights, "--out", tmp_path]) == 2
+        assert "--weights" in capsys.readouterr().err
+        assert not (tmp_path / "merged.mmpv").exists()
 
     def test_missing_file_exit_4(self, tmp_path):
         assert run(["merge", tmp_path / "nope.mmpv", "--out", tmp_path]) == 4

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -137,10 +139,9 @@ class TestGenQuadraticTask:
 
     @pytest.mark.parametrize("seed,dim", [(0, 1), (10, 40), (123, 300)])
     def test_stream_layout(self, seed, dim):
-        # Stream 2 is the Haar basis then theta_star; 300^2 spans several skip chunks.
-        g = RngStream(seed, 2).generator()
-        basis = geometry.haar_orthogonal(dim, g)
-        theta_star = g.normal(size=dim)
+        # theta_star is the first D normals of stream 2; the basis is the Haar draw of stream 5.
+        theta_star = RngStream(seed, 2).generator().normal(size=dim)
+        basis = geometry.haar_orthogonal(dim, RngStream(seed, 5).generator())
         task = gen_quadratic_task(ExperimentConfig(seed=seed, dimension=dim))
         assert np.array_equal(task.theta_star, theta_star)
         assert np.array_equal(task.basis, basis)
@@ -254,6 +255,47 @@ class TestRunRhtStudy:
         assert [row[0] for row in rep.rows] == list(range(1, 6))
         for row in rep.rows:
             assert all(math.isfinite(v) for v in row[1:])
+
+    def test_more_scored_vectors_than_dimensions(self):
+        rep = run_rht_study(ExperimentConfig(seed=8, dimension=4, n_experts=5))
+        assert [row[0] for row in rep.rows] == list(range(1, 6))
+        for row in rep.rows:
+            assert row[1] >= 0 and row[2] >= 0
+            assert all(math.isfinite(v) for v in row[1:])
+
+    def test_never_builds_basis(self, monkeypatch):
+        def no_basis(*args, **kwargs):
+            raise AssertionError("run_rht_study built the Hessian basis")
+
+        monkeypatch.setattr(geometry, "haar_orthogonal", no_basis)
+        rep = run_rht_study(ExperimentConfig(seed=9, dimension=100, n_experts=4))
+        assert len(rep.rows) == 4
+
+    def test_each_stream_has_one_draw_site(self, monkeypatch):
+        sites = {}
+        generator = RngStream.generator
+
+        def recording(self):
+            sites.setdefault((self.seed, self.stream_id), set()).add(sys._getframe(1).f_code.co_name)
+            return generator(self)
+
+        monkeypatch.setattr(RngStream, "generator", recording)
+        run_rht_study(ExperimentConfig(seed=10, dimension=50, n_experts=6))
+        assert all(len(where) == 1 for where in sites.values()), sites
+        ids = {stream_id for _, stream_id in sites}
+        assert {2, 6} <= ids and 5 not in ids
+        assert {seed for seed, _ in sites} == {10}
+
+    def test_large_dimension_allocates_no_square_matrix(self):
+        d = 10_000
+        tracemalloc.start()
+        try:
+            rep = run_rht_study(ExperimentConfig(seed=11, dimension=d, n_experts=10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 8 / 4
+        assert rep.extra["tail_diagnostics"] is not None
 
 
 class TestReportIO:

@@ -16,6 +16,7 @@ from mergelimits.geometry import (
     project_circular_cone,
     projected_width_sq,
     redundancy_bound_check,
+    rotated_losses,
     statdim_cone_mc,
     width_jensen,
     width_mc,
@@ -86,6 +87,52 @@ class TestQuadraticTask:
             q = theta - task.theta_star
             z = task.basis.T @ q
             assert float(task.eigenvalues @ (z * z)) <= 2 * task.epsilon + 1e-12
+
+
+class TestRotatedLosses:
+    def test_law_matches_independent_haar_bases(self):
+        # Each draw scores 3 fixed vectors under one orientation; the reference
+        # scores them with task.loss under an independently drawn Haar basis.
+        d, reps = 8, 4000
+        gen = RngStream(41, 0).generator()
+        lam = np.geomspace(0.1, 1.0, d)
+        theta_star = gen.normal(size=d)
+        g = gen.normal(size=(3, d))
+        # Columns 0 and 1 are nearly parallel, so one shared orientation keeps
+        # their losses close and independent orientations would not.
+        thetas = theta_star + np.stack([g[0], g[0] + 0.3 * g[1], 0.5 * g[2]])
+        offsets = (thetas - theta_star).T
+        drawn = np.array([rotated_losses(lam, offsets, RngStream(41, 1000 + i)) for i in range(reps)])
+        ref = np.empty((reps, 3))
+        for i in range(reps):
+            basis = haar_orthogonal(d, RngStream(42, i).generator())
+            task = QuadraticTask(theta_star, lam, basis, 0.5)
+            ref[i] = [task.loss(t) for t in thetas]
+        for j in range(3):
+            assert stats.ks_2samp(drawn[:, j], ref[:, j]).pvalue > 1e-3, j
+        # The columns share one orientation, so their joint law matches too.
+        diff = stats.ks_2samp(drawn[:, 0] - drawn[:, 1], ref[:, 0] - ref[:, 1])
+        assert diff.pvalue > 1e-3
+
+    @pytest.mark.parametrize("m", [3, 4, 10], ids=["fewer", "equal", "more"])
+    def test_uniform_spectrum_gives_half_squared_norm(self, m):
+        # With H = I every orientation gives 0.5 |v|^2, including m > D.
+        d = 4
+        v = RngStream(43, m).generator().normal(size=(d, m))
+        got = rotated_losses(np.ones(d), v, RngStream(43, 100 + m))
+        assert got.shape == (m,)
+        assert np.allclose(got, 0.5 * np.sum(v * v, axis=0), rtol=1e-12, atol=0)
+
+    def test_deterministic_per_stream(self):
+        v = RngStream(44, 0).generator().normal(size=(6, 2))
+        lam = np.arange(1.0, 7.0)
+        a = rotated_losses(lam, v, RngStream(44, 1))
+        assert np.array_equal(a, rotated_losses(lam, v, RngStream(44, 1)))
+        assert not np.array_equal(a, rotated_losses(lam, v, RngStream(44, 2)))
+
+    def test_rejects_mismatched_rows(self):
+        with pytest.raises(ConfigError):
+            rotated_losses(np.ones(3), np.ones((4, 2)), RngStream(44, 3))
 
 
 class TestWidthJensen:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from mergelimits.errors import ConfigError
+from mergelimits.errors import ConfigError, NumericError
 from mergelimits.rht import (
     RHTParams,
     TinyNetSpec,
@@ -189,7 +189,77 @@ class TestTailDiagnostics:
             hill_estimator(np.ones(50), 0.05)
 
 
+def reference_forward(net, params, inputs):
+    """One parameter vector through the network, one 2-D matmul per layer."""
+    h, pos = inputs, 0
+    for i in range(len(net.widths) - 1):
+        n_in, n_out = net.widths[i], net.widths[i + 1]
+        w = params[pos : pos + n_in * n_out].reshape(n_in, n_out)
+        pos += n_in * n_out
+        h = h @ w + params[pos : pos + n_out]
+        pos += n_out
+        if i < len(net.widths) - 2:
+            h = np.tanh(h)
+    return h[:, 0]
+
+
+def reference_coverage(net, sampler, n_samples, stream):
+    """coverage_proxy with a per-sample forward loop over the same draws."""
+    draws = stream.generator().normal(size=(n_samples, net.param_count))
+    if sampler == "rht":
+        p = RHTParams()
+        flat = gaussian_difference(
+            draws.reshape(-1), 0.0, p.sigma_g_ratio * float(draws.std()), stream.substream(0)
+        )
+        draws = rht_map(flat, p).reshape(n_samples, net.param_count)
+    outputs = np.stack([reference_forward(net, d, net.grid()) for d in draws])
+    return (
+        float(outputs.var(axis=0).mean()),
+        float((outputs.max(axis=0) - outputs.min(axis=0)).mean()),
+    )
+
+
+class TestForward:
+    @pytest.mark.parametrize("widths", [(2, 8, 1), (2, 16, 8, 3), (2, 1)])
+    def test_stack_equals_per_vector_reference(self, widths):
+        net = TinyNetSpec(widths=widths)
+        grid = net.grid()
+        draws = 3.0 * RngStream(56, len(widths)).generator().normal(size=(300, net.param_count))
+        ref = np.stack([reference_forward(net, d, grid) for d in draws])
+        assert np.array_equal(net.forward(draws, grid), ref)
+        assert all(np.array_equal(net.forward(d, grid), r) for d, r in zip(draws[:20], ref))
+
+    @pytest.mark.parametrize(
+        "shape", [(), (32,), (3, 32), (3, 34), (2, 3, 33)],
+        ids=["scalar", "short-vector", "narrow-stack", "wide-stack", "3-d"],
+    )
+    def test_bad_shape_config_error(self, shape):
+        net = TinyNetSpec()
+        assert net.param_count == 33
+        with pytest.raises(ConfigError):
+            net.forward(np.zeros(shape), net.grid())
+
+    @pytest.mark.parametrize("shape", [(33,), (4, 33)], ids=["vector", "stack"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_numeric_error(self, shape, bad):
+        net = TinyNetSpec()
+        params = np.zeros(shape)
+        params.reshape(-1)[-1] = bad
+        with pytest.raises(NumericError):
+            net.forward(params, net.grid())
+
+
 class TestCoverageProxy:
+    @pytest.mark.parametrize("sampler", ["gaussian", "rht"])
+    @pytest.mark.parametrize("n_samples", [1000, 2000, 1300])
+    def test_equals_per_sample_reference(self, sampler, n_samples):
+        net = TinyNetSpec()
+        for seed in range(3):
+            stream = RngStream(seed, 50)
+            assert coverage_proxy(net, sampler, n_samples, stream) == reference_coverage(
+                net, sampler, n_samples, stream
+            )
+
     def test_zero_variance_params(self):
         net = TinyNetSpec()
         proxy, rng = coverage_proxy(net, "zero", 1000, RngStream(55, 0))

@@ -101,6 +101,26 @@ class TestSpectrumReport:
         rep = spectrum_report(np.array([3.0, 1.0, 0.0, 0.0]))
         assert rep.rank == 2
 
+    def test_rank_ignores_round_off_singular_values(self):
+        # Tolerance sigma_max * max(rows, cols) * eps, as numpy.linalg.matrix_rank.
+        gen = RngStream(61, 1).generator()
+        left, right = gen.normal(size=(200, 5)), gen.normal(size=(5, 300))
+        m = left @ right
+        sv = np.linalg.svd(m, compute_uv=False)
+        assert np.sum(sv > 1e-30) > 5
+        assert spectrum_report(sv, m.shape).rank == 5 == np.linalg.matrix_rank(m)
+        assert pca_explained(m, center=False).rank == 5
+        assert pca_explained(m).rank == np.linalg.matrix_rank(m - m.mean(axis=0)) == 5
+        assert sv_tail_stats(m).rank == 5
+        assert sv_tail_stats(LowRankDelta(left, right)).rank == 5
+
+    def test_rank_tolerance_scales_with_the_longer_side(self):
+        eps = np.finfo(np.float64).eps
+        sv = np.array([1.0, 3.5 * eps])
+        assert spectrum_report(sv).rank == 2
+        assert spectrum_report(sv, (2, 3)).rank == 2
+        assert spectrum_report(sv, (2, 4)).rank == 1
+
 
 class TestPCAExplained:
     def test_rank_one_without_centering(self):
