@@ -1,13 +1,15 @@
 """Command-line experiment runner.
 
 Subcommands: gen-experts, merge, rht, width, kinematics, saturate,
-rht-study, subspace, report. Exit codes: 0 success, 2 config error,
-3 numeric error, 4 I/O or format error.
+rht-study, subspace, report. Each subcommand takes only the flags it
+reads. Exit codes: 0 success, 2 config error, 3 numeric error, 4 I/O or
+format error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -16,13 +18,6 @@ import numpy as np
 from . import experiments, geometry, merge, plotting, rht, subspace, tensorio
 from .errors import ConfigError, FormatError, NumericError
 from .tensorio import RngStream
-
-
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON experiment config (ExperimentConfig fields)")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
 def _read_text(path: str) -> str:
@@ -39,26 +34,37 @@ def _load_config(args) -> experiments.ExperimentConfig:
     else:
         cfg = experiments.ExperimentConfig()
     if args.seed is not None:
-        cfg = experiments.ExperimentConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
-def _emit(report: experiments.Report, args, stem: str) -> str:
+def _emit(report: experiments.Report, args, stem: str, plot=()) -> None:
+    """Write <stem>.<format> and, with --plot, <stem>.svg of each (label,
+    column) in plot against column 0. Prints every path written."""
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{stem}.{args.format}")
     experiments.emit_report(report, args.format, path)
-    return path
+    print(path)
+    if plot and args.plot:
+        svg = os.path.join(args.out, f"{stem}.svg")
+        xs = [r[0] for r in report.rows]
+        plotting.plot_svg([(label, xs, [r[c] for r in report.rows]) for label, c in plot], svg)
+        print(svg)
+
+
+def _write_pvec(vec: np.ndarray, args, name: str) -> None:
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, f"{name}.mmpv")
+    tensorio.write_pvec(vec, path)
+    print(path)
 
 
 def cmd_gen_experts(args) -> None:
     cfg = _load_config(args)
     experts = experiments.gen_experts(cfg, low_rank=args.low_rank)
-    os.makedirs(args.out, exist_ok=True)
     for i, e in enumerate(experts):
         vec = e.dense().reshape(-1) if isinstance(e, tensorio.LowRankDelta) else e
-        path = os.path.join(args.out, f"expert_{i:03d}.mmpv")
-        tensorio.write_pvec(vec, path)
-        print(path)
+        _write_pvec(vec, args, f"expert_{i:03d}")
 
 
 def cmd_merge(args) -> None:
@@ -71,21 +77,13 @@ def cmd_merge(args) -> None:
         w = merge.MergeWeights(alphas)
     else:
         w = merge.MergeWeights.uniform(len(experts))
-    merged = merge.merge_linear(experts, w)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "merged.mmpv")
-    tensorio.write_pvec(merged, path)
-    print(path)
+    _write_pvec(merge.merge_linear(experts, w), args, "merged")
 
 
 def cmd_rht(args) -> None:
     cfg = _load_config(args)
     v = tensorio.read_pvec(args.vector)
-    out = rht.apply_rht(v, cfg.rht_params, RngStream(cfg.seed, 100))
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "rht.mmpv")
-    tensorio.write_pvec(out, path)
-    print(path)
+    _write_pvec(rht.apply_rht(v, cfg.rht_params, RngStream(cfg.seed, 100)), args, "rht")
 
 
 def cmd_width(args) -> None:
@@ -100,11 +98,10 @@ def cmd_width(args) -> None:
         cfg.to_dict(),
         {"samples": args.samples},
     )
-    print(_emit(report, args, "width"))
+    _emit(report, args, "width")
 
 
 def cmd_kinematics(args) -> None:
-    cfg = _load_config(args)
     if args.k_max is None:
         args.k_max = args.dim
     if args.k_step < 1:
@@ -115,52 +112,22 @@ def cmd_kinematics(args) -> None:
         args.dim,
         k_values,
         args.trials,
-        RngStream(cfg.seed, 4),
+        RngStream(args.seed, 4),
         half_angle=half_angle,
         subspace_dim=args.subspace_dim,
     )
-    print(_emit(report, args, "kinematics"))
-    if args.plot:
-        svg = os.path.join(args.out, "kinematics.svg")
-        ks = [r[0] for r in report.rows]
-        ps = [r[1] for r in report.rows]
-        plotting.plot_svg([("intersection probability", ks, ps)], svg)
-        print(svg)
+    _emit(report, args, "kinematics", plot=[("intersection probability", 1)])
 
 
 def cmd_saturate(args) -> None:
-    cfg = _load_config(args)
-    report = experiments.run_saturation(cfg)
-    print(_emit(report, args, "saturation"))
-    if args.plot:
-        svg = os.path.join(args.out, "saturation.svg")
-        ns = [r[0] for r in report.rows]
-        plotting.plot_svg(
-            [
-                ("variance (analytic)", ns, [r[1] for r in report.rows]),
-                ("variance (mc)", ns, [r[2] for r in report.rows]),
-                ("expected loss", ns, [r[4] for r in report.rows]),
-            ],
-            svg,
-        )
-        print(svg)
+    report = experiments.run_saturation(_load_config(args))
+    plot = [("variance (analytic)", 1), ("variance (mc)", 2), ("expected loss", 4)]
+    _emit(report, args, "saturation", plot=plot)
 
 
 def cmd_rht_study(args) -> None:
-    cfg = _load_config(args)
-    report = experiments.run_rht_study(cfg)
-    print(_emit(report, args, "rht_study"))
-    if args.plot:
-        svg = os.path.join(args.out, "rht_study.svg")
-        ns = [r[0] for r in report.rows]
-        plotting.plot_svg(
-            [
-                ("loss (baseline)", ns, [r[1] for r in report.rows]),
-                ("loss (rht)", ns, [r[2] for r in report.rows]),
-            ],
-            svg,
-        )
-        print(svg)
+    report = experiments.run_rht_study(_load_config(args))
+    _emit(report, args, "rht_study", plot=[("loss (baseline)", 1), ("loss (rht)", 2)])
 
 
 def cmd_subspace(args) -> None:
@@ -187,41 +154,49 @@ def cmd_subspace(args) -> None:
         {"matrix": args.matrix},
         extra,
     )
-    print(_emit(report, args, "subspace"))
+    _emit(report, args, "subspace")
 
 
 def cmd_report(args) -> None:
     report = experiments.Report.from_json(_read_text(args.input))
-    print(_emit(report, args, report.kind))
+    _emit(report, args, report.kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mergelimits")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-experts", help="sample equicorrelated expert deltas")
-    _common_flags(p)
-    p.add_argument("--low-rank", action="store_true")
-    p.set_defaults(func=cmd_gen_experts)
+    def add(name, func, help, config=False, report=False, plot=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if config:
+            p.add_argument("--config", help="JSON experiment config (ExperimentConfig fields)")
+            p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--out", default=".", help="output directory")
+        if report:
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
+        if plot:
+            p.add_argument("--plot", action="store_true", help="also write an SVG plot")
+        return p
 
-    p = sub.add_parser("merge", help="convex-combine expert vectors")
-    _common_flags(p)
+    p = add("gen-experts", cmd_gen_experts, "sample equicorrelated expert deltas", config=True)
+    p.add_argument("--low-rank", action="store_true")
+
+    p = add("merge", cmd_merge, "convex-combine expert vectors")
     p.add_argument("experts", nargs="+", help="MMPV expert files")
     p.add_argument("--weights", help="comma-separated convex weights (default uniform)")
-    p.set_defaults(func=cmd_merge)
 
-    p = sub.add_parser("rht", help="apply the heavy-tailed reparameterization")
-    _common_flags(p)
+    p = add("rht", cmd_rht, "apply the heavy-tailed reparameterization", config=True)
     p.add_argument("vector", help="MMPV input vector")
-    p.set_defaults(func=cmd_rht)
 
-    p = sub.add_parser("width", help="Gaussian width of the task sublevel set")
-    _common_flags(p)
+    p = add("width", cmd_width, "Gaussian width of the task sublevel set", config=True, report=True)
     p.add_argument("--samples", type=int, default=20_000)
-    p.set_defaults(func=cmd_width)
 
-    p = sub.add_parser("kinematics", help="cone/subspace intersection transition curve")
-    _common_flags(p)
+    p = add(
+        "kinematics", cmd_kinematics, "cone/subspace intersection transition curve",
+        report=True, plot=True,
+    )
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=60)
     p.add_argument("--half-angle-deg", type=float)
     p.add_argument("--subspace-dim", type=int)
@@ -229,29 +204,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int)
     p.add_argument("--k-step", type=int, default=1)
     p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--plot", action="store_true")
-    p.set_defaults(func=cmd_kinematics)
 
-    p = sub.add_parser("saturate", help="saturation sweep over merge counts")
-    _common_flags(p)
-    p.add_argument("--plot", action="store_true")
-    p.set_defaults(func=cmd_saturate)
+    add("saturate", cmd_saturate, "saturation sweep over merge counts",
+        config=True, report=True, plot=True)
+    add("rht-study", cmd_rht_study, "paired baseline-vs-RHT saturation study",
+        config=True, report=True, plot=True)
 
-    p = sub.add_parser("rht-study", help="paired baseline-vs-RHT saturation study")
-    _common_flags(p)
-    p.add_argument("--plot", action="store_true")
-    p.set_defaults(func=cmd_rht_study)
-
-    p = sub.add_parser("subspace", help="PCA / singular-value diagnostics of stacked experts")
-    _common_flags(p)
+    p = add("subspace", cmd_subspace, "PCA / singular-value diagnostics of stacked experts",
+            report=True)
     p.add_argument("matrix", help="MMMX file, rows = experts")
     p.add_argument("--no-center", action="store_true")
-    p.set_defaults(func=cmd_subspace)
 
-    p = sub.add_parser("report", help="re-emit a JSON report as csv or json")
-    _common_flags(p)
+    p = add("report", cmd_report, "re-emit a JSON report as csv or json", report=True)
     p.add_argument("input", help="JSON report file")
-    p.set_defaults(func=cmd_report)
 
     return parser
 

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and the real-number field check shared across the package.
 
 Exit-code mapping used by the CLI: ConfigError -> 2, NumericError -> 3,
 file/format problems -> 4.
 """
+
+import math
+import numbers
 
 
 class MergeLimitsError(Exception):
@@ -25,3 +28,19 @@ class FormatError(MergeLimitsError):
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+def require_real(obj, *names: str) -> None:
+    """Raise ConfigError unless each named attribute is a finite real number.
+
+    bool is rejected although it is an Integral: a JSON `true` is not a
+    value. So are NaN, infinities and integers too large for a float.
+    """
+    for name in names:
+        v = getattr(obj, name)
+        try:
+            ok = not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v)
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ConfigError(f"{name} must be a finite real number, got {v!r}")

@@ -15,13 +15,14 @@ import io
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+import os
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import geometry, merge, rht
-from .errors import ConfigError
+from .errors import ConfigError, require_real
 from .tensorio import LowRankDelta, RngStream
 
 SCHEMA_VERSION = 2
@@ -39,6 +40,7 @@ class SpectrumDescriptor:
     def __post_init__(self):
         if self.kind not in ("uniform", "geometric"):
             raise ConfigError(f"unknown spectrum kind {self.kind!r}")
+        require_real(self, "condition_number")
         if not self.condition_number >= 1:
             raise ConfigError(f"condition_number must be >= 1, got {self.condition_number}")
 
@@ -67,10 +69,7 @@ class ExperimentConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
-        for name in ("sigma2", "rho", "delta", "epsilon"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ConfigError(f"{name} must be a real number, got {v!r}")
+        require_real(self, "sigma2", "rho", "delta", "epsilon")
         if self.dimension < 1 or self.n_experts < 1 or self.rank < 1:
             raise ConfigError("dimension, n_experts and rank must be >= 1")
         if not self.sigma2 > 0:
@@ -108,7 +107,7 @@ class ExperimentConfig:
     def from_json(text: str) -> "ExperimentConfig":
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"bad config JSON: {e}") from e
         return ExperimentConfig.from_dict(d)
 
@@ -154,7 +153,7 @@ class Report:
     def from_json(text: str) -> "Report":
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"bad report JSON: {e}") from e
         if not isinstance(d, dict):
             raise ConfigError(f"report must be a JSON object, got {type(d).__name__}")
@@ -162,6 +161,19 @@ class Report:
         missing = sorted(set(keys) - set(d))
         if missing:
             raise ConfigError(f"report JSON lacks keys: {missing}")
+        kind, columns, rows, version = d["kind"], d["columns"], d["rows"], d["schema_version"]
+        # kind becomes the file stem `report` writes under --out.
+        plain = isinstance(kind, str) and kind not in ("", ".", "..") and kind.isprintable()
+        if not plain or any(s and s in kind for s in (os.sep, os.altsep)):
+            raise ConfigError(f"report kind must be a plain file name, got {kind!r}")
+        if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
+            raise ConfigError("report columns must be a list of strings")
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ConfigError("report rows must be a list of lists")
+        if not isinstance(d["config"], dict) or not isinstance(d["extra"], dict):
+            raise ConfigError("report config and extra must be JSON objects")
+        if isinstance(version, bool) or not isinstance(version, int):
+            raise ConfigError(f"report schema_version must be an integer, got {version!r}")
         return Report(**{k: d[k] for k in keys})
 
 

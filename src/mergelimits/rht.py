@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
-from .tensorio import RngStream, as_matrix, as_pvec
+from .errors import ConfigError, NumericError, require_real
+from .tensorio import RngStream, as_matrix, as_pvec, gaussian_sample
 
 # Grid used to certify that T is strictly increasing for a parameter set.
 _MONO_GRID = np.logspace(-9, 4, 10_000)
@@ -39,16 +39,18 @@ class RHTParams:
     sigma_g_ratio: float = 0.1
 
     def __post_init__(self):
+        require_real(self, "gamma", "alpha", "beta", "sigma_g_ratio")
         if not 0 < self.gamma < 1:
             raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if not self.beta > 0:
             raise ConfigError(f"beta must be > 0, got {self.beta}")
-        if self.sigma_g_ratio < 0:
+        if not self.sigma_g_ratio >= 0:
             raise ConfigError(f"sigma_g_ratio must be >= 0, got {self.sigma_g_ratio}")
-        vals = _map_positive(_MONO_GRID, self.gamma, self.alpha, self.beta)
-        if np.any(np.diff(vals) <= 0):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN fail the test below
+            vals = _map_positive(_MONO_GRID, self.gamma, self.alpha, self.beta)
+        if not np.all(np.diff(vals) > 0):
             raise ConfigError(
                 f"T is not strictly increasing for gamma={self.gamma}, "
                 f"alpha={self.alpha}, beta={self.beta}"
@@ -62,11 +64,7 @@ def _map_positive(x, gamma: float, alpha: float, beta: float):
 def gaussian_difference(w: np.ndarray, mu: float, sigma_g: float, stream: RngStream) -> np.ndarray:
     """w - g with g ~ N(mu, sigma_g^2 I); centers w and widens its spread."""
     w = as_pvec(w)
-    if sigma_g < 0:
-        raise ConfigError(f"sigma_g must be >= 0, got {sigma_g}")
-    if sigma_g == 0:
-        return w - mu
-    return w - stream.generator().normal(mu, sigma_g, size=w.size)
+    return w - gaussian_sample(stream, w.size, mu, sigma_g)
 
 
 def rht_map(x, p: RHTParams):

@@ -192,4 +192,7 @@ def read_matrix(path) -> np.ndarray:
         rows, cols = struct.unpack("<QQ", _read_exact(f, 16, 8, "rows/cols"))
         _check_payload_size(f, 24, 8 * rows * cols)
         payload = _read_exact(f, 8 * rows * cols, 24, "payload")
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=True).reshape(rows, cols)
+    try:
+        return np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=True).reshape(rows, cols)
+    except ValueError as e:  # an empty payload under a side numpy cannot index
+        raise FormatError(f"unsupported MMMX shape {rows}x{cols}: {e}", 8) from e

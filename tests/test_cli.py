@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import mergelimits
 from mergelimits import geometry
-from mergelimits.cli import main
+from mergelimits.cli import build_parser, main
 from mergelimits.experiments import ExperimentConfig, Report
 from mergelimits.tensorio import read_pvec, write_matrix, write_pvec
 
@@ -183,8 +184,14 @@ class TestSaturate:
             {"rht_params": {"bogus": 1}},
             {"rht_params": {"target": "x"}},
             {"out_dir": "x"},
+            {"rht_params": {"alpha": float("nan")}},
+            {"rht_params": {"sigma_g_ratio": float("nan")}},
+            {"rht_params": {"alpha": float("inf")}},
+            {"sigma2": float("inf")},
+            {"sigma2": 10**400},
         ],
-        ids=["not-object", "spectrum-key", "spectrum-type", "rht-key", "rht-target", "out-dir"],
+        ids=["not-object", "spectrum-key", "spectrum-type", "rht-key", "rht-target", "out-dir",
+             "rht-alpha-nan", "rht-sigma-g-nan", "rht-alpha-inf", "sigma2-inf", "sigma2-huge-int"],
     )
     def test_malformed_config_exit_2(self, tmp_path, cfg):
         bad = tmp_path / "bad.json"
@@ -193,8 +200,11 @@ class TestSaturate:
 
     @pytest.mark.parametrize(
         "cfg",
-        [{"seed": "a"}, {"seed": 1.5}, {"dimension": True}, {"rank": None}, {"rho": "0.5"}],
-        ids=["seed-str", "seed-float", "dimension-bool", "rank-null", "rho-str"],
+        [{"seed": "a"}, {"seed": 1.5}, {"dimension": True}, {"rank": None}, {"rho": "0.5"},
+         {"rht_params": {"alpha": True}}, {"spectrum": {"condition_number": True}},
+         {"rht_params": {"alpha": 10**400}}],
+        ids=["seed-str", "seed-float", "dimension-bool", "rank-null", "rho-str",
+             "rht-alpha-bool", "condition-number-bool", "rht-alpha-huge-int"],
     )
     def test_mistyped_config_exit_2(self, tmp_path, cfg):
         bad = tmp_path / "bad.json"
@@ -230,6 +240,10 @@ class TestSubspace:
         assert sum(r[2] for r in rep.rows) == pytest.approx(1.0, abs=1e-9)
 
 
+def _report_text(**fields):
+    return json.dumps({**json.loads(Report("demo", ["a"], [[1]], {}).to_json()), **fields})
+
+
 class TestReport:
     def test_reemit_json_to_csv(self, tmp_path):
         rep = Report("demo", ["a"], [[1]], {"seed": 0}, {})
@@ -241,15 +255,101 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "text",
-        ["{not json", "[1]", json.dumps({"kind": "demo"})],
-        ids=["not-json", "not-object", "missing-keys"],
+        [
+            "{not json",
+            "[1]",
+            json.dumps({"kind": "demo"}),
+            "[" * 100_000,
+            *(_report_text(kind=k) for k in ["../escaped", "", ".", "..", "a/b", "a\0b", "a\nb", 5]),
+            *(_report_text(columns=c) for c in ["ab", [1], None]),
+            *(_report_text(rows=r) for r in ["x", [1], {"a": [1]}]),
+            _report_text(config=[1]),
+            _report_text(extra="x"),
+            *(_report_text(schema_version=v) for v in [True, "2", 2.5]),
+        ],
+        ids=["not-json", "not-object", "missing-keys", "too-deep",
+             "kind-escapes", "kind-empty", "kind-dot", "kind-dotdot", "kind-sep", "kind-nul",
+             "kind-newline", "kind-int", "columns-str", "columns-int", "columns-null", "rows-str",
+             "row-int", "rows-object", "config-list", "extra-str",
+             "version-bool", "version-str", "version-float"],
     )
     def test_malformed_report_exit_2(self, tmp_path, text):
         src = tmp_path / "in.json"
         src.write_text(text)
-        assert run(["report", src, "--out", tmp_path]) == 2
+        assert run(["report", src, "--out", tmp_path / "out", "--format", "csv"]) == 2
+        assert [p.name for p in tmp_path.rglob("*")] == ["in.json"]
 
     def test_non_utf8_report_exit_2(self, tmp_path):
         src = tmp_path / "in.json"
         src.write_bytes(b"\xff\xfe{}")
         assert run(["report", src, "--out", tmp_path]) == 2
+
+
+def _subcommands():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, action.choices
+
+
+def _minimal_argv(name, tmp_path):
+    """The shortest argv on which each subcommand runs to completion."""
+    vec, stacked, report = tmp_path / "v.mmpv", tmp_path / "m.mmmx", tmp_path / "r.json"
+    write_pvec(np.linspace(-1, 1, 16), vec)
+    write_matrix(np.arange(12.0).reshape(3, 4) ** 2, stacked)
+    report.write_text(Report("demo", ["a"], [[1]], {}).to_json())
+    return {
+        "gen-experts": ["gen-experts"],
+        "merge": ["merge", vec],
+        "rht": ["rht", vec],
+        "width": ["width", "--samples", 1000],
+        "kinematics": ["kinematics", "--dim", 10, "--subspace-dim", 4, "--trials", 200],
+        "saturate": ["saturate"],
+        "rht-study": ["rht-study"],
+        "subspace": ["subspace", stacked],
+        "report": ["report", report],
+    }[name] + ["--out", tmp_path / "out"]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("name", sorted(_subcommands()[1]))
+    def test_every_declared_flag_is_read(self, tmp_path, name, capsys):
+        parser, subparsers = _subcommands()
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, attr):
+                reads.add(attr)
+                return super().__getattribute__(attr)
+
+        argv = [str(a) for a in _minimal_argv(name, tmp_path)]
+        args = parser.parse_args(argv, namespace=Recording())
+        reads.clear()  # argparse itself reads attributes while it parses
+        args.func(args)
+        declared = {a.dest for a in subparsers[name]._actions if a.dest != "help"}
+        assert declared - reads == set()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-experts", "--format", "json"],
+            ["merge", "a.mmpv", "--config", "c.json"],
+            ["merge", "a.mmpv", "--seed", "9"],
+            ["merge", "a.mmpv", "--format", "json"],
+            ["rht", "v.mmpv", "--format", "json"],
+            ["subspace", "m.mmmx", "--config", "c.json"],
+            ["subspace", "m.mmmx", "--seed", "1"],
+            ["report", "r.json", "--config", "c.json"],
+            ["report", "r.json", "--seed", "1"],
+            ["kinematics", "--config", "c.json"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_removed_flag_exit_2(self, tmp_path, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_kinematics_seed_defaults_to_zero(self):
+        parser, _ = _subcommands()
+        assert parser.parse_args(["kinematics"]).seed == 0
