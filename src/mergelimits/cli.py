@@ -229,6 +229,11 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        # A size from the config or flags that no allocation can hold.
+        detail = f" ({e})" if str(e) else ""
+        print(f"config error: a requested size is too large to allocate{detail}", file=sys.stderr)
+        return 2
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3

@@ -191,9 +191,14 @@ def emit_report(report: Report, fmt: str, path) -> None:
 def gen_experts(cfg: ExperimentConfig, low_rank: bool = False):
     """Equicorrelated expert deltas, full vectors or rank-r factored form.
 
-    The low-rank variant projects each full Gaussian delta onto its top-r
-    SVD factors and rescales to preserve the Frobenius norm (second
-    moments stay near target).
+    The low-rank variant projects each full Gaussian delta m onto its top-r
+    left singular vectors and rescales to preserve the Frobenius norm
+    (second moments stay near target). The top r are the top-r eigenpairs
+    of the Gram matrix m·mᵀ, so no full SVD is computed: left = U_r and
+    right = U_rᵀ·m = S_r·V_rᵀ, the truncated SVD to round-off eps·σ₁/gap.
+    Every BLAS call in the loop goes through scipy: numpy and scipy each
+    load their own OpenBLAS, and alternating between them leaves one
+    thread pool spinning while the other works (2-3× slower here).
     """
     stream = RngStream(cfg.seed, 1)
     gen = stream.generator()
@@ -210,15 +215,18 @@ def gen_experts(cfg: ExperimentConfig, low_rank: bool = False):
         raise ConfigError(f"low-rank experts need a square dimension, got {d}")
     if cfg.rank > d_out:
         raise ConfigError(f"rank {cfg.rank} exceeds matrix side {d_out}")
+    from scipy.linalg import blas, eigh
+
+    r = cfg.rank
     deltas = []
     for i in range(n):
         m = experts[i].reshape(d_out, d_out)
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-        r = cfg.rank
-        left = u[:, :r] * s[:r]
-        right = vt[:r]
-        kept = math.sqrt(float(np.sum(s[:r] ** 2)))
-        total = math.sqrt(float(np.sum(s**2)))
+        gram = blas.dsyrk(1.0, m.T, trans=1)  # upper triangle of m·mᵀ
+        w, u = eigh(gram, lower=False, subset_by_index=[d_out - r, d_out - 1], check_finite=False)
+        left = u[:, ::-1]
+        right = blas.dgemm(1.0, left, m, trans_a=1)
+        kept = math.sqrt(float(np.sum(np.maximum(w, 0.0))))
+        total = math.sqrt(float(np.trace(gram)))
         scale = total / kept if kept > 0 else 1.0
         deltas.append(LowRankDelta(left, right, scale))
     return deltas

@@ -134,14 +134,21 @@ def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
 def sv_tail_stats(delta) -> SpectrumReport:
     """Log-band singular-value statistics of a delta matrix.
 
-    Accepts a LowRankDelta (SVD of the materialized product, rank-bounded)
-    or any dense matrix.
+    Accepts any dense matrix, or a LowRankDelta, which is never densified:
+    with left = Q_l·R_l and rightᵀ = Q_r·R_r, the singular values of
+    scale·left·right are those of the r×r core scale·R_l·R_rᵀ (Halko,
+    Martinsson, Tropp 2011), padded with zeros to min(shape).
     """
     if isinstance(delta, LowRankDelta):
-        m = delta.dense()
+        r_l = np.linalg.qr(delta.left, mode="r")
+        r_r = np.linalg.qr(delta.right.T, mode="r")
+        sv = np.zeros(min(delta.shape))
+        sv[: delta.rank] = np.linalg.svd(delta.scale * (r_l @ r_r.T), compute_uv=False)
+        shape = delta.shape
     else:
         m = as_matrix(delta)
-    sv = np.linalg.svd(m, compute_uv=False)
+        sv = np.linalg.svd(m, compute_uv=False)
+        shape = m.shape
     if np.all(sv <= _ZERO_SV):
         raise ConfigError("degenerate (all-zero) matrix")
-    return spectrum_report(sv, m.shape)
+    return spectrum_report(sv, shape)

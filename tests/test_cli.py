@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,8 @@ def test_import_leaves_scipy_submodules_unloaded():
     # need them import them.
     code = (
         "import sys, mergelimits.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate') if m in sys.modules])"
+        "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate', 'scipy.linalg')"
+        " if m in sys.modules])"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(mergelimits.__file__).parents[1])}
     done = subprocess.run(
@@ -216,6 +218,29 @@ class TestSaturate:
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{}")
         assert run(["saturate", "--config", bad, "--out", tmp_path]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["kinematics", "--dim", 10**12, "--half-angle-deg", 30], None),
+        (["saturate"], {"dimension": 10**12, "n_experts": 2}),
+        (["saturate"], {"n_experts": 10**12, "dimension": 4}),
+    ],
+    ids=["kinematics-dim", "saturate-dimension", "saturate-n-experts"],
+)
+def test_unallocatable_size_exit_2(tmp_path, argv, cfg, capsys):
+    if cfg is not None:
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        argv = [*argv, "--config", path]
+    rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert run([*argv, "--out", tmp_path]) == 2
+    assert "too large to allocate" in capsys.readouterr().err
+    # The first allocation of the requested size fails, so the peak does not move
+    # (ru_maxrss is in KiB on Linux; tracemalloc cannot tell, numpy traces failed requests).
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss_before < 64 * 1024
+    assert list(tmp_path.iterdir()) == ([path] if cfg is not None else [])
 
 
 class TestRhtStudy:

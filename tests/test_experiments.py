@@ -116,6 +116,21 @@ class TestGenExperts:
             # Frobenius rescale preserves the total second moment within 5%.
             assert float((dense**2).mean()) == pytest.approx(float((f**2).mean()), rel=0.05)
 
+    @pytest.mark.parametrize(
+        "seed, side, rank", [(8, 64, 4), (9, 64, 4), (10, 256, 8), (11, 256, 8)]
+    )
+    def test_low_rank_is_rescaled_truncated_svd(self, seed, side, rank):
+        cfg = ExperimentConfig(seed=seed, dimension=side * side, n_experts=3, rank=rank)
+        for d, f in zip(gen_experts(cfg, low_rank=True), gen_experts(cfg)):
+            m = f.reshape(side, side)
+            u, s, vt = np.linalg.svd(m)
+            rescale = np.linalg.norm(s) / np.linalg.norm(s[:rank])
+            ref = rescale * (u[:, :rank] * s[:rank]) @ vt[:rank]
+            dense = d.dense()
+            assert np.linalg.norm(dense - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert np.linalg.norm(dense) == pytest.approx(np.linalg.norm(m), rel=1e-12)
+            assert np.linalg.matrix_rank(dense) == rank
+
     def test_low_rank_needs_square_dim(self):
         with pytest.raises(ConfigError):
             gen_experts(ExperimentConfig(dimension=10), low_rank=True)

@@ -238,6 +238,29 @@ class TestSvTailStats:
         assert np.sum(sv > 1e-10 * sv[0]) <= 3
         assert rep.counts_per_log_band[:-1].sum() <= 3
 
+    @pytest.mark.parametrize(
+        "shape, rank, scale",
+        [((40, 40), 3, 1.0), ((30, 70), 5, -2.5), ((90, 20), 8, 1e-3), ((12, 12), 12, 4.0)],
+        ids=["square", "wide-negative-scale", "tall-small-scale", "full-rank"],
+    )
+    def test_low_rank_factors_match_dense_svd(self, shape, rank, scale, monkeypatch):
+        gen = RngStream(66, rank).generator()
+        left, right = gen.normal(size=(shape[0], rank)), gen.normal(size=(rank, shape[1]))
+        d = LowRankDelta(left, right, scale)
+        ref = sv_tail_stats(d.dense())
+
+        def no_dense(self):
+            raise AssertionError("sv_tail_stats densified a LowRankDelta")
+
+        monkeypatch.setattr(LowRankDelta, "dense", no_dense)
+        rep = sv_tail_stats(d)
+        assert rep.singular_values.shape == (min(shape),)
+        top = ref.singular_values[:rank]
+        assert np.allclose(rep.singular_values[:rank], top, rtol=1e-12, atol=0)
+        assert not np.any(rep.singular_values[rank:])
+        assert rep.rank == ref.rank == rank
+        assert np.array_equal(rep.counts_per_log_band, ref.counts_per_log_band)
+
     def test_dense_matches_numpy_svd(self):
         gen = RngStream(65, 1).generator()
         m = gen.normal(size=(6, 9))
