@@ -274,14 +274,8 @@ def run_saturation(cfg: ExperimentConfig) -> Report:
     n_vals = list(range(1, cfg.n_experts + 1))
     trace = [merge.merged_variance_equicorrelated(cfg.sigma2, cfg.rho, n) for n in n_vals]
     limit = merge.variance_limit(cfg.sigma2, cfg.rho)
-    stop_succ = merge.termination_check(
-        trace, merge.TerminationPolicy(cfg.delta, merge.TerminationCriterion.SUCCESSIVE_GAIN)
-    )
-    stop_dist = merge.termination_check(
-        trace,
-        merge.TerminationPolicy(cfg.delta, merge.TerminationCriterion.DISTANCE_TO_LIMIT),
-        limit=limit,
-    )
+    stop_succ = merge.termination_check(trace, cfg.delta)
+    stop_dist = merge.termination_check(trace, cfg.delta, limit)
     nmax = merge.n_max(cfg.sigma2, cfg.rho, cfg.delta)
     up_to = min(cfg.n_experts, cfg.dimension)
     gains = geometry.marginal_gains(task, up_to)

@@ -3,8 +3,8 @@
 Covers the convex combination of expert parameter vectors, the merged
 variance under a general correlation structure, its equicorrelated closed
 form sigma^2 * (rho + (1 - rho)/n), the limiting value sigma^2 * rho, the
-merge-count upper bound floor(sigma^2 * (1 - rho) / delta), adaptive
-termination on a variance trace, and merge-weight optimization on the
+merge-count upper bound floor(sigma^2 * (1 - rho) / delta), stopping
+rules on a variance trace, and merge-weight optimization on the
 probability simplex.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -84,23 +83,6 @@ class CorrelationSpec:
         return CorrelationSpec(np.full(n, math.sqrt(sigma2)), r)
 
 
-class TerminationCriterion(Enum):
-    SUCCESSIVE_GAIN = "successive-gain"
-    DISTANCE_TO_LIMIT = "distance-to-limit"
-
-
-@dataclass(frozen=True)
-class TerminationPolicy:
-    """Stop merging once the remaining variance reduction drops below delta."""
-
-    delta: float
-    criterion: TerminationCriterion = TerminationCriterion.SUCCESSIVE_GAIN
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise ConfigError(f"delta must be > 0, got {self.delta}")
-
-
 def merge_linear(experts: Sequence[np.ndarray], w: MergeWeights) -> np.ndarray:
     """Componentwise convex combination sum_i alpha_i * theta_i."""
     if len(experts) != len(w):
@@ -156,25 +138,23 @@ def n_max(sigma2: float, rho: float, delta: float) -> int:
 
 
 def termination_check(
-    variance_trace: Sequence[float],
-    policy: TerminationPolicy,
-    limit: Optional[float] = None,
+    variance_trace: Sequence[float], delta: float, limit: Optional[float] = None
 ) -> Optional[int]:
-    """First trace index at which the policy says to stop, or None.
+    """First trace index at which merging should stop, or None.
 
-    successive-gain: first i >= 1 with trace[i-1] - trace[i] < delta.
-    distance-to-limit: first i with trace[i] - limit < delta, where limit
-    defaults to the trace minimum when no analytic limit is supplied.
+    Without a limit, successive gain: the first i >= 1 with
+    trace[i-1] - trace[i] < delta. With one, distance to that limit: the
+    first i with trace[i] - limit < delta.
     """
+    if not delta > 0:
+        raise ConfigError(f"delta must be > 0, got {delta}")
     trace = np.asarray(variance_trace, dtype=np.float64)
     if trace.size == 0:
         raise ConfigError("variance trace must be non-empty")
-    if policy.criterion is TerminationCriterion.SUCCESSIVE_GAIN:
-        gains = trace[:-1] - trace[1:]
-        hits = np.nonzero(gains < policy.delta)[0]
-        return int(hits[0]) + 1 if hits.size else None
-    inf = float(trace.min()) if limit is None else float(limit)
-    hits = np.nonzero(trace - inf < policy.delta)[0]
+    if limit is None:
+        hits = np.nonzero(trace[:-1] - trace[1:] < delta)[0] + 1
+    else:
+        hits = np.nonzero(trace - float(limit) < delta)[0]
     return int(hits[0]) if hits.size else None
 
 

@@ -18,10 +18,6 @@ import numpy as np
 from .errors import ConfigError, NumericError, require_real
 from .tensorio import RngStream, as_matrix, as_pvec, gaussian_sample
 
-# Grid used to certify that T is strictly increasing for a parameter set.
-_MONO_GRID = np.logspace(-9, 4, 10_000)
-
-
 @dataclass(frozen=True)
 class RHTParams:
     """Parameters of the reparameterization.
@@ -29,8 +25,8 @@ class RHTParams:
     gamma in (0, 1) is the power; alpha >= 0 and beta > 0 shape the
     near-zero boost (alpha = 0 is the pure-power baseline); sigma_g_ratio
     scales the subtracted Gaussian relative to the input's empirical std.
-    T must be strictly increasing, which is certified numerically on a
-    log-spaced grid at construction.
+    T must be strictly increasing, which holds exactly when
+    alpha <= gamma e^(1 + gamma), whatever beta is.
     """
 
     gamma: float = 0.5
@@ -48,9 +44,10 @@ class RHTParams:
             raise ConfigError(f"beta must be > 0, got {self.beta}")
         if not self.sigma_g_ratio >= 0:
             raise ConfigError(f"sigma_g_ratio must be >= 0, got {self.sigma_g_ratio}")
-        with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN fail the test below
-            vals = _map_positive(_MONO_GRID, self.gamma, self.alpha, self.beta)
-        if not np.all(np.diff(vals) > 0):
+        # For x > 0 and u = beta x, T'(x) = x^(gamma-1) (gamma + alpha e^-u (gamma - u)).
+        # e^-u (gamma - u) is smallest at u = 1 + gamma, where it is -e^-(1+gamma),
+        # so T' >= 0 with at most one zero iff alpha <= gamma e^(1+gamma).
+        if not self.alpha <= self.gamma * math.exp(1.0 + self.gamma):
             raise ConfigError(
                 f"T is not strictly increasing for gamma={self.gamma}, "
                 f"alpha={self.alpha}, beta={self.beta}"
@@ -83,8 +80,6 @@ def rht_inverse(y: float, p: RHTParams) -> float:
     # T(x) is between x^gamma and (1 + alpha) x^gamma, which brackets the root.
     lo = (ay / (1.0 + p.alpha)) ** (1.0 / p.gamma)
     hi = ay ** (1.0 / p.gamma)
-    if lo > hi:
-        lo, hi = hi, lo
     f = lambda t: _map_positive(t, p.gamma, p.alpha, p.beta) - ay
     # Widen defensively; bisection then requires a strict sign change.
     lo *= 1 - 1e-12

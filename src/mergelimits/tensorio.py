@@ -1,18 +1,19 @@
 """Numeric containers, deterministic random streams, and binary file formats.
 
 Parameter vectors and dense matrices are plain float64 numpy arrays; the
-helpers here validate them and move them to/from the package's two binary
-formats:
+helpers here validate them and move them to/from one binary container:
 
-    MMPV: "MMPV" | u32 version (=1) | u64 dim | dim * float64 (LE)
-    MMMX: "MMMX" | u32 version (=1) | u64 rows | u64 cols | row-major float64 (LE)
+    magic | u32 version (=1) | one u64 per axis | row-major float64 (LE)
 
-Readers check the payload size a header declares against the file size
-before reading it. Roundtrips are bit-exact.
+MMPV is the one-axis case (magic "MMPV", dim), MMMX the two-axis one
+(magic "MMMX", rows, cols). Readers check the payload size a header
+declares against the file size before reading it. Roundtrips are
+bit-exact.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -133,66 +134,56 @@ def _read_exact(f, n: int, offset: int, what: str) -> bytes:
     return buf
 
 
-def _check_payload_size(f, header: int, payload: int) -> None:
-    """Compare the payload size a header declares with the file's size.
+def _write(a: np.ndarray, magic: bytes, path) -> None:
+    with open(path, "wb") as f:
+        f.write(magic + struct.pack(f"<I{a.ndim}Q", FORMAT_VERSION, *a.shape))
+        f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
-    Runs before the payload is read, so a false header can neither ask for
-    a huge buffer nor overflow the read call.
+
+def _read(path, magic: bytes, ndim: int) -> np.ndarray:
+    """Read one container, checking each header field at its byte offset.
+
+    The payload size the header declares is compared with the file's size
+    before the payload is read, so a false header can neither ask for a
+    huge buffer nor overflow the read call.
     """
-    size = os.fstat(f.fileno()).st_size
-    if size < header + payload:
-        raise FormatError(
-            f"truncated file: header declares {payload} payload bytes, file holds {size - header}",
-            size,
-        )
-    if size > header + payload:
-        raise FormatError("trailing bytes after payload", header + payload)
+    name = magic.decode()
+    header = 8 + 8 * ndim
+    with open(path, "rb") as f:
+        found = _read_exact(f, 4, 0, "magic")
+        if found != magic:
+            raise FormatError(f"bad magic {found!r}, expected {magic!r}", 0)
+        (version,) = struct.unpack("<I", _read_exact(f, 4, 4, "version"))
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported {name} version {version}", 4)
+        shape = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim, 8, "shape"))
+        payload = 8 * math.prod(shape)
+        size = os.fstat(f.fileno()).st_size
+        if size < header + payload:
+            raise FormatError(
+                f"truncated file: header declares {payload} payload bytes, file holds {size - header}",
+                size,
+            )
+        if size > header + payload:
+            raise FormatError("trailing bytes after payload", header + payload)
+        data = _read_exact(f, payload, header, "payload")
+    try:
+        return np.frombuffer(data, dtype="<f8").astype(np.float64, copy=True).reshape(shape)
+    except ValueError as e:  # an empty payload under a side numpy cannot index
+        raise FormatError(f"unsupported {name} shape {shape}: {e}", 8) from e
 
 
 def write_pvec(v: np.ndarray, path) -> None:
-    v = as_pvec(v)
-    with open(path, "wb") as f:
-        f.write(PVEC_MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<Q", v.shape[0]))
-        f.write(v.astype("<f8").tobytes())
+    _write(as_pvec(v), PVEC_MAGIC, path)
 
 
 def read_pvec(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, 0, "magic")
-        if magic != PVEC_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {PVEC_MAGIC!r}", 0)
-        (version,) = struct.unpack("<I", _read_exact(f, 4, 4, "version"))
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported MMPV version {version}", 4)
-        (dim,) = struct.unpack("<Q", _read_exact(f, 8, 8, "dim"))
-        _check_payload_size(f, 16, 8 * dim)
-        payload = _read_exact(f, 8 * dim, 16, "payload")
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=True)
+    return _read(path, PVEC_MAGIC, 1)
 
 
 def write_matrix(m: np.ndarray, path) -> None:
-    m = as_matrix(m)
-    with open(path, "wb") as f:
-        f.write(MATRIX_MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<QQ", m.shape[0], m.shape[1]))
-        f.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+    _write(as_matrix(m), MATRIX_MAGIC, path)
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, 0, "magic")
-        if magic != MATRIX_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {MATRIX_MAGIC!r}", 0)
-        (version,) = struct.unpack("<I", _read_exact(f, 4, 4, "version"))
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported MMMX version {version}", 4)
-        rows, cols = struct.unpack("<QQ", _read_exact(f, 16, 8, "rows/cols"))
-        _check_payload_size(f, 24, 8 * rows * cols)
-        payload = _read_exact(f, 8 * rows * cols, 24, "payload")
-    try:
-        return np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=True).reshape(rows, cols)
-    except ValueError as e:  # an empty payload under a side numpy cannot index
-        raise FormatError(f"unsupported MMMX shape {rows}x{cols}: {e}", 8) from e
+    return _read(path, MATRIX_MAGIC, 2)

@@ -191,9 +191,11 @@ class TestSaturate:
             {"rht_params": {"alpha": float("inf")}},
             {"sigma2": float("inf")},
             {"sigma2": 10**400},
+            {"rht_params": {"gamma": 0.5, "alpha": 5.0, "beta": 1e12}},
         ],
         ids=["not-object", "spectrum-key", "spectrum-type", "rht-key", "rht-target", "out-dir",
-             "rht-alpha-nan", "rht-sigma-g-nan", "rht-alpha-inf", "sigma2-inf", "sigma2-huge-int"],
+             "rht-alpha-nan", "rht-sigma-g-nan", "rht-alpha-inf", "sigma2-inf", "sigma2-huge-int",
+             "rht-non-monotone"],
     )
     def test_malformed_config_exit_2(self, tmp_path, cfg):
         bad = tmp_path / "bad.json"

@@ -1,19 +1,25 @@
 """In-process fuzzing of the parsers of outside input.
 
 Binary containers may fail only with FormatError, config and report JSON
-only with ConfigError; the CLI maps those to exit codes 4 and 2. Nothing
-here starts a subprocess.
+only with ConfigError; the CLI maps those to exit codes 4 and 2, and on
+any argv built from its declared flags returns 0, 2, 3 or 4 or exits
+through argparse with 2. Nothing here starts a subprocess.
 """
 
+import argparse
 import json
+import os
 import struct
 
-from hypothesis import example, given, settings
+import numpy as np
+import pytest
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
+from mergelimits.cli import build_parser, main
 from mergelimits.errors import ConfigError, FormatError
 from mergelimits.experiments import ExperimentConfig, Report
-from mergelimits.tensorio import read_matrix, read_pvec
+from mergelimits.tensorio import read_matrix, read_pvec, write_matrix, write_pvec
 
 scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
 json_values = st.recursive(
@@ -96,3 +102,67 @@ def test_report_json_raises_only_config_error(value):
         return
     report.to_csv()
     report.to_json()
+
+
+def _declared_actions() -> dict:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if a.dest != "help"] for name, p in sorted(sub.choices.items())}
+
+
+_ACTIONS = _declared_actions()
+# Flags whose defaults cost far more than a fuzz example should: always given, at most
+# the smallest size the runner accepts.
+_CAPPED = {"--samples": ["1000"], "--trials": ["200"], "--dim": []}
+_SMALL = ["-1", "0", "1", "2", "3", "16", "30"]
+_JUNK = ["x", "nan", "inf", "1e400"]
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Small valid and junk inputs, plus a path that does not exist."""
+    d = tmp_path_factory.mktemp("argv-inputs")
+    write_pvec(np.linspace(-1, 1, 16), d / "v.mmpv")
+    write_matrix(np.arange(12.0).reshape(3, 4) ** 2, d / "m.mmmx")
+    (d / "cfg.json").write_text(ExperimentConfig(seed=1, dimension=16, n_experts=3, rank=2).to_json())
+    (d / "r.json").write_text(Report("demo", ["a"], [[1]], {}).to_json())
+    (d / "junk.mmpv").write_bytes(b"MMPV\x01\x00\x00\x00\xff")
+    (d / "junk.json").write_text('{"seed": ')
+    names = ("v.mmpv", "m.mmmx", "cfg.json", "r.json", "junk.mmpv", "junk.json", "missing.mmpv")
+    return [str(d / n) for n in names]
+
+
+def _value(data, action, files):
+    """A word for one flag or positional: typed ones are valid nine times in ten."""
+    if action.choices:
+        valid = list(action.choices)
+    elif action.type in (int, float):
+        valid = _SMALL + _CAPPED.get(action.option_strings[0], [])
+    else:
+        return data.draw(st.sampled_from(files + _JUNK + ["out", ".", "0.25,0.75"]))
+    return data.draw(st.sampled_from(valid if data.draw(st.integers(0, 9)) < 9 else _JUNK))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_on_declared_flags_exits_with_documented_code(tmp_path_factory, argv_files, data):
+    name = data.draw(st.sampled_from(sorted(_ACTIONS)))
+    argv = [name]
+    for action in _ACTIONS[name]:
+        flag = action.option_strings[:1]
+        if not flag:
+            count = 1 if action.nargs is None else data.draw(st.integers(1, 3))
+            argv += [_value(data, action, argv_files) for _ in range(count)]
+        elif flag[0] in _CAPPED or data.draw(st.booleans()):
+            argv += flag if action.nargs == 0 else [*flag, _value(data, action, argv_files)]
+    note(f"argv: {argv}")
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("argv-cwd"))
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        assert e.code == 2
+    else:
+        assert code in (0, 2, 3, 4)
+    finally:
+        os.chdir(cwd)

@@ -9,8 +9,6 @@ from mergelimits.errors import ConfigError
 from mergelimits.merge import (
     CorrelationSpec,
     MergeWeights,
-    TerminationCriterion,
-    TerminationPolicy,
     merge_linear,
     merged_variance,
     merged_variance_equicorrelated,
@@ -200,28 +198,31 @@ class TestNMax:
 
 class TestTermination:
     def test_flat_trace(self):
-        policy = TerminationPolicy(0.1)
-        assert termination_check([1.0, 1.0, 1.0], policy) == 1
+        assert termination_check([1.0, 1.0, 1.0], 0.1) == 1
 
     def test_successive_gain_on_variance_trace(self):
         trace = [merged_variance_equicorrelated(1.0, 0.5, n) for n in range(1, 11)]
-        policy = TerminationPolicy(0.05, TerminationCriterion.SUCCESSIVE_GAIN)
         # First n with 0.5 / (n (n+1)) < 0.05 is n = 3.
-        assert termination_check(trace, policy) == 3
+        assert termination_check(trace, 0.05) == 3
 
     def test_never_triggered(self):
-        assert termination_check([10.0, 5.0, 1.0], TerminationPolicy(0.5)) is None
+        assert termination_check([10.0, 5.0, 1.0], 0.5) is None
 
     def test_distance_to_limit(self):
         trace = [merged_variance_equicorrelated(1.0, 0.5, n) for n in range(1, 30)]
-        policy = TerminationPolicy(0.04, TerminationCriterion.DISTANCE_TO_LIMIT)
-        idx = termination_check(trace, policy, limit=0.5)
+        idx = termination_check(trace, 0.04, limit=0.5)
         # sigma^2 (1 - rho) / n < 0.04 first at n = 13 (index 12).
         assert idx == 12
 
     def test_empty_trace(self):
         with pytest.raises(ConfigError):
-            termination_check([], TerminationPolicy(0.1))
+            termination_check([], 0.1)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("limit", [None, 0.5], ids=["gain", "limit"])
+    def test_bad_delta(self, delta, limit):
+        with pytest.raises(ConfigError):
+            termination_check([1.0, 0.75, 0.6], delta, limit)
 
 
 class TestProjectSimplex:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from mergelimits.errors import ConfigError, NumericError
@@ -40,6 +42,28 @@ class TestParams:
         # Large alpha with moderate beta makes T dip after the boost decays.
         with pytest.raises(ConfigError):
             RHTParams(gamma=0.1, alpha=200.0, beta=5.0)
+
+    @pytest.mark.parametrize("beta", [1e-6, 1e12])
+    def test_rejects_dip_at_any_beta(self, beta):
+        # T dips where beta x = 1 + gamma, at whatever scale of x that falls.
+        with pytest.raises(ConfigError):
+            RHTParams(gamma=0.5, alpha=5.0, beta=beta)
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.5, 0.99])
+    def test_alpha_bound_is_exact(self, gamma):
+        bound = gamma * math.exp(1.0 + gamma)
+        RHTParams(gamma=gamma, alpha=bound)
+        with pytest.raises(ConfigError):
+            RHTParams(gamma=gamma, alpha=float(np.nextafter(bound, np.inf)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.01, 0.99), st.floats(0.0, 1.0), st.floats(-8.0, 8.0))
+    def test_accepted_params_are_increasing(self, gamma, frac, log_beta):
+        alpha = frac * 0.999 * gamma * math.exp(1.0 + gamma)
+        p = RHTParams(gamma=gamma, alpha=alpha, beta=10.0**log_beta)
+        # u = beta x spans the dip at u = 1 + gamma by two decades each side.
+        xs = np.geomspace(1e-2, 1e2, 4001) / p.beta
+        assert np.all(np.diff(rht_map(xs, p)) > 0)
 
 
 class TestMap:

@@ -81,6 +81,36 @@ def test_matrix_roundtrip_property(tmp_path_factory, rows, cols, seed):
     assert read_matrix(path).tobytes() == m.tobytes()
 
 
+@pytest.mark.parametrize(
+    "array, writer, magic",
+    [
+        (np.array([1.5, -0.0, 2.0**-1074]), write_pvec, b"MMPV"),
+        (np.arange(6.0).reshape(2, 3), write_matrix, b"MMMX"),
+        (np.asfortranarray(np.arange(6.0).reshape(2, 3)), write_matrix, b"MMMX"),
+        (np.arange(6.0).reshape(3, 2).astype(">f8"), write_matrix, b"MMMX"),
+    ],
+    ids=["vector", "c-order", "fortran-order", "big-endian"],
+)
+def test_written_bytes_follow_layout(tmp_path, array, writer, magic):
+    # magic | u32 version | one u64 per axis | row-major little-endian float64
+    path = tmp_path / "out.bin"
+    writer(array, path)
+    header = magic + struct.pack(f"<I{array.ndim}Q", 1, *array.shape)
+    payload = np.asarray(array, dtype="<f8").tobytes(order="C")
+    assert path.read_bytes() == header + payload
+
+
+@pytest.mark.parametrize("reader, magic, ndim", [(read_pvec, b"MMPV", 1), (read_matrix, b"MMMX", 2)])
+def test_truncated_header_reports_bytes_present(tmp_path, reader, magic, ndim):
+    header = magic + struct.pack(f"<I{ndim}Q", 1, *[1] * ndim)
+    path = tmp_path / "short.bin"
+    for n in range(len(header)):
+        path.write_bytes(header[:n])
+        with pytest.raises(FormatError) as exc:
+            reader(path)
+        assert exc.value.offset == n
+
+
 def test_bad_magic_reports_offset(tmp_path):
     path = tmp_path / "bad.mmpv"
     path.write_bytes(b"XXXX" + b"\x00" * 20)
