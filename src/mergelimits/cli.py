@@ -74,6 +74,8 @@ def cmd_merge(args) -> None:
             alphas = np.array([float(x) for x in args.weights.split(",")])
         except ValueError as e:
             raise ConfigError(f"--weights must be comma-separated numbers: {e}") from e
+        if not np.all(np.isfinite(alphas)):
+            raise ConfigError(f"--weights must be finite, got {args.weights!r}")
         w = merge.MergeWeights(alphas)
     else:
         w = merge.MergeWeights.uniform(len(experts))
@@ -237,7 +239,8 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3
-    except (FormatError, OSError) as e:
+    except (FormatError, OSError, UnicodeEncodeError) as e:
+        # UnicodeEncodeError: a path the filesystem encoding cannot represent.
         print(f"i/o error: {e}", file=sys.stderr)
         return 4
     return 0

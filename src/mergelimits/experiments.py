@@ -2,8 +2,8 @@
 
 Experts are drawn with the shared-factor equicorrelation construction
 theta_i = sigma (sqrt(rho) z0 + sqrt(1 - rho) z_i), which gives exact
-pairwise correlation rho. Quadratic tasks carry a random orthonormal
-Hessian eigenbasis with a uniform or geometric spectrum. Runners produce
+pairwise correlation rho. Quadratic tasks carry a uniform or geometric
+Hessian spectrum under a Haar-random orientation. Runners produce
 Report records that serialize idempotently to CSV and JSON with the fully
 resolved config embedded.
 """
@@ -26,6 +26,13 @@ from .errors import ConfigError, require_real
 from .tensorio import LowRankDelta, RngStream
 
 SCHEMA_VERSION = 2
+
+
+def _parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ConfigError(f"bad {what} JSON: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -105,11 +112,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
-        try:
-            d = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as e:
-            raise ConfigError(f"bad config JSON: {e}") from e
-        return ExperimentConfig.from_dict(d)
+        return ExperimentConfig.from_dict(_parse_json(text, "config"))
 
 
 @dataclass
@@ -151,10 +154,7 @@ class Report:
 
     @staticmethod
     def from_json(text: str) -> "Report":
-        try:
-            d = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as e:
-            raise ConfigError(f"bad report JSON: {e}") from e
+        d = _parse_json(text, "report")
         if not isinstance(d, dict):
             raise ConfigError(f"report must be a JSON object, got {type(d).__name__}")
         keys = Report.__dataclass_fields__
@@ -184,7 +184,7 @@ def emit_report(report: Report, fmt: str, path) -> None:
         payload = report.to_json()
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(payload)
 
 
@@ -233,18 +233,11 @@ def gen_experts(cfg: ExperimentConfig, low_rank: bool = False):
 
 
 def gen_quadratic_task(cfg: ExperimentConfig) -> geometry.QuadraticTask:
-    """Random-basis quadratic task with the configured spectrum.
-
-    theta_star is the first D normals of stream 2. The Haar basis is drawn
-    from stream 5 only when task.basis is first read; no runner reads it.
-    """
+    """Quadratic task with the configured spectrum, no fixed basis (score it with
+    geometry.rotated_losses) and theta_star the first D normals of stream 2."""
     d = cfg.dimension
-    return geometry.QuadraticTask(
-        RngStream(cfg.seed, 2).generator().normal(size=d),
-        cfg.spectrum.eigenvalues(d),
-        lambda: geometry.haar_orthogonal(d, RngStream(cfg.seed, 5).generator()),
-        cfg.epsilon,
-    )
+    theta_star = RngStream(cfg.seed, 2).generator().normal(size=d)
+    return geometry.QuadraticTask(theta_star, cfg.spectrum.eigenvalues(d), None, cfg.epsilon)
 
 
 _SATURATION_COLUMNS = [

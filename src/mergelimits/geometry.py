@@ -27,45 +27,32 @@ class QuadraticTask:
     The epsilon-sublevel set is an ellipsoid centered at theta* with radii
     r_i = sqrt(2 eps / lambda_i) along the eigenvectors.
 
-    basis is either the D x D matrix or a zero-argument callable returning
-    it. A matrix is checked for orthonormal columns (max |Q^T Q - I| <= 1e-8)
-    here. A callable is called on the first read of .basis (by loss or
-    sample_sublevel), its result checked the same way and cached. Widths,
-    marginal gains and the redundancy check are basis-invariant and never
-    read it, so a lazily supplied basis is never built for them.
+    basis is the D x D matrix, checked for orthonormal columns
+    (max |Q^T Q - I| <= 1e-8), or None for a task whose orientation is left
+    Haar-random. Widths, marginal gains and the redundancy check are
+    basis-invariant and never read it. loss and sample_sublevel need a fixed
+    basis; under a Haar orientation, score vectors with rotated_losses.
     """
 
     def __init__(self, theta_star, eigenvalues, basis, epsilon):
         self.theta_star = as_pvec(theta_star)
         self.eigenvalues = as_pvec(eigenvalues)
+        self.basis = None if basis is None else as_matrix(basis)
         self.epsilon = epsilon
-        if callable(basis):
-            self._basis, self._make_basis = None, basis
-        else:
-            self._basis, self._make_basis = as_matrix(basis), None
-        if self.eigenvalues.size != self.dim:
+        d, q = self.dim, self.basis
+        if self.eigenvalues.size != d or (q is not None and q.shape != (d, d)):
             raise ConfigError("theta_star, eigenvalues and basis dimensions disagree")
         if np.any(self.eigenvalues <= 0):
             raise ConfigError("all eigenvalues must be > 0")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self._basis is not None:
-            self._check_basis(self._basis)
-
-    def _check_basis(self, q: np.ndarray) -> None:
-        d = self.dim
-        if q.shape != (d, d):
-            raise ConfigError("theta_star, eigenvalues and basis dimensions disagree")
-        if np.max(np.abs(q.T @ q - np.eye(d))) > 1e-8:
+        if q is not None and np.max(np.abs(q.T @ q - np.eye(d))) > 1e-8:
             raise ConfigError("basis columns are not orthonormal")
 
-    @property
-    def basis(self) -> np.ndarray:
-        if self._basis is None:
-            q = as_matrix(self._make_basis())
-            self._check_basis(q)
-            self._basis, self._make_basis = q, None
-        return self._basis
+    def _fixed_basis(self) -> np.ndarray:
+        if self.basis is None:
+            raise ConfigError("task has no fixed basis; score it with geometry.rotated_losses")
+        return self.basis
 
     @property
     def dim(self) -> int:
@@ -76,18 +63,18 @@ class QuadraticTask:
         return np.sqrt(2.0 * self.epsilon / self.eigenvalues)
 
     def loss(self, theta: np.ndarray) -> float:
-        z = self.basis.T @ (as_pvec(theta, self.dim) - self.theta_star)
+        z = self._fixed_basis().T @ (as_pvec(theta, self.dim) - self.theta_star)
         return 0.5 * float(self.eigenvalues @ (z * z))
 
     def sample_sublevel(self, stream: RngStream, n: int = 1) -> np.ndarray:
         """Uniform points of the epsilon-sublevel ellipsoid, shape (n, D)."""
+        basis = self._fixed_basis()
         gen = stream.generator()
-        d = self.dim
-        g = gen.normal(size=(n, d))
+        g = gen.normal(size=(n, self.dim))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        u = gen.random(size=(n, 1)) ** (1.0 / d)
+        u = gen.random(size=(n, 1)) ** (1.0 / self.dim)
         z = g * u * self.radii
-        return self.theta_star + z @ self.basis.T
+        return self.theta_star + z @ basis.T
 
 
 @dataclass(frozen=True)
@@ -201,22 +188,26 @@ def statdim_cone_mc(cone: CircularCone, dim: int, samples: int, stream: RngStrea
     return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(samples))
 
 
+def _haar_frame(rows: int, cols: int, gen: np.random.Generator) -> np.ndarray:
+    """Haar rows x cols orthonormal frame: sign-corrected QR (arXiv:math-ph/0609050)."""
+    q, r = np.linalg.qr(gen.normal(size=(rows, cols)))
+    return q * np.sign(np.diag(r))
+
+
 def haar_orthogonal(dim: int, gen: np.random.Generator) -> np.ndarray:
     """Haar-distributed orthogonal matrix via sign-corrected QR."""
-    q, r = np.linalg.qr(gen.normal(size=(dim, dim)))
-    return q * np.sign(np.diag(r))
+    return _haar_frame(dim, dim, gen)
 
 
 def rotated_losses(eigenvalues, vectors, stream: RngStream) -> np.ndarray:
     """Losses 0.5 v^T Q diag(lambda) Q^T v of the columns of `vectors` (D x m)
     under one Haar orientation Q, exact in law, in O(D m^2) without building
-    Q: with the thin QR V = W R, Q^T V = (Q^T W) R and Q^T W is a Haar frame,
-    the sign-corrected QR of a D x min(D, m) Gaussian (arXiv:math-ph/0609050).
+    Q: with the thin QR V = W R, Q^T V = (Q^T W) R and Q^T W is a Haar
+    D x min(D, m) frame.
     """
     lam = as_pvec(eigenvalues)
     r = np.linalg.qr(as_matrix(vectors, rows=lam.size), mode="r")
-    f, s = np.linalg.qr(stream.generator().normal(size=(lam.size, r.shape[0])))
-    z = (f * np.sign(np.diag(s))) @ r
+    z = _haar_frame(lam.size, r.shape[0], stream.generator()) @ r
     return 0.5 * (lam @ (z * z))
 
 

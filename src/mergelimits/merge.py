@@ -129,6 +129,8 @@ def n_max(sigma2: float, rho: float, delta: float) -> int:
     unattainable. A tiny relative slack keeps exact boundaries (e.g.
     0.5 / 0.1) from flooring one short.
     """
+    if not sigma2 > 0:
+        raise ConfigError(f"sigma2 must be > 0, got {sigma2}")
     if not delta > 0:
         raise ConfigError(f"delta must be > 0, got {delta}")
     if not 0 <= rho <= 1:

@@ -208,12 +208,10 @@ class TinyNetSpec:
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     def forward(self, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """Outputs for one flat parameter vector, shape (n_inputs,), or for each
-        row of an (n, param_count) stack, shape (n, n_inputs). A stacked matmul
-        runs each row's own 2-D product, so rows equal single-vector outputs."""
-        single = np.ndim(params) == 1
-        cols = self.param_count
-        p = as_pvec(params, cols)[None] if single else as_matrix(params, cols=cols)
+        """Outputs for each row of an (n, param_count) stack, shape
+        (n, n_inputs). A stacked matmul runs each row's own 2-D product, so a
+        row's outputs equal those of that vector alone."""
+        p = as_matrix(params, cols=self.param_count)
         h, pos = inputs, 0
         for i in range(len(self.widths) - 1):
             n_in, n_out = self.widths[i], self.widths[i + 1]
@@ -224,7 +222,7 @@ class TinyNetSpec:
             h = h @ w + b
             if i < len(self.widths) - 2:
                 h = np.tanh(h)
-        return h[0, :, 0] if single else h[:, :, 0]
+        return h[:, :, 0]
 
 
 def coverage_proxy(
@@ -244,21 +242,16 @@ def coverage_proxy(
     """
     if n_samples < 1000:
         raise ConfigError(f"need >= 1000 samples, got {n_samples}")
-    if param_sampler not in ("gaussian", "rht", "zero"):
+    if param_sampler not in ("gaussian", "rht"):
         raise ConfigError(f"unknown param sampler {param_sampler!r}")
     grid = net.grid()
-    gen = stream.generator()
-    if param_sampler == "zero":
-        draws = np.zeros((n_samples, net.param_count))
-    else:
-        draws = gen.normal(size=(n_samples, net.param_count))
-        if param_sampler == "rht":
-            p = rht_params or RHTParams()
-            noise_stream = stream.substream(0)
-            flat = gaussian_difference(
-                draws.reshape(-1), 0.0, p.sigma_g_ratio * float(draws.std()), noise_stream
-            )
-            draws = rht_map(flat, p).reshape(n_samples, net.param_count)
+    draws = stream.generator().normal(size=(n_samples, net.param_count))
+    if param_sampler == "rht":
+        p = rht_params or RHTParams()
+        flat = gaussian_difference(
+            draws.reshape(-1), 0.0, p.sigma_g_ratio * float(draws.std()), stream.substream(0)
+        )
+        draws = rht_map(flat, p).reshape(n_samples, net.param_count)
     # Stacked forward passes of 256 samples keep the intermediates near 1 MB.
     starts = range(0, n_samples, 256)
     outputs = np.concatenate([net.forward(draws[s : s + 256], grid) for s in starts])

@@ -94,6 +94,8 @@ def pca_explained(stacked_deltas: np.ndarray, center: bool = True) -> SpectrumRe
     expert is subtracted first; pass center=False to skip.
     """
     m = as_matrix(stacked_deltas)
+    if m.shape[0] == 0:
+        raise ConfigError("no experts: the stacked matrix has zero rows")
     if center:
         m = m - m.mean(axis=0, keepdims=True)
     sv = np.linalg.svd(m, compute_uv=False)

@@ -88,7 +88,7 @@ class TestMerge:
         write_pvec(np.ones(2), p)
         assert run(["merge", p, "--weights", "0.4", "--out", tmp_path]) == 2
 
-    @pytest.mark.parametrize("weights", ["a,b", "0.5,", "0.5;0.5"])
+    @pytest.mark.parametrize("weights", ["a,b", "0.5,", "0.5;0.5", "nan,1", "inf,0"])
     def test_non_numeric_weights_exit_2(self, tmp_path, weights, capsys):
         p1, p2 = tmp_path / "a.mmpv", tmp_path / "b.mmpv"
         write_pvec(np.ones(2), p1)
@@ -266,6 +266,14 @@ class TestSubspace:
         assert len(rep.rows) == 4
         assert sum(r[2] for r in rep.rows) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("flags", [[], ["--no-center"]], ids=["centered", "uncentered"])
+    def test_zero_experts_exit_2(self, tmp_path, flags, capsys):
+        p = tmp_path / "empty.mmmx"
+        write_matrix(np.zeros((0, 9)), p)
+        assert run(["subspace", p, "--out", tmp_path / "sub", *flags]) == 2
+        assert "zero rows" in capsys.readouterr().err
+        assert not (tmp_path / "sub" / "subspace.csv").exists()
+
 
 def _report_text(**fields):
     return json.dumps({**json.loads(Report("demo", ["a"], [[1]], {}).to_json()), **fields})
@@ -310,6 +318,33 @@ class TestReport:
         src = tmp_path / "in.json"
         src.write_bytes(b"\xff\xfe{}")
         assert run(["report", src, "--out", tmp_path]) == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reports_are_utf8_under_ascii_locale(self, tmp_path, fmt):
+        def report(text, out, locale):
+            src = tmp_path / "in.json"
+            src.write_text(text, encoding="utf-8")
+            env = {**os.environ, **locale,
+                   "PYTHONPATH": str(Path(mergelimits.__file__).parents[1])}
+            return subprocess.run(
+                [sys.executable, "-m", "mergelimits.cli", "report", src, "--format", fmt,
+                 "--out", out], env=env, capture_output=True, timeout=120,
+            )
+
+        ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        plain = Report("plain", ["\u03c3"], [[1.5]], {}).to_json()
+        assert report(plain, tmp_path / "utf8", {"PYTHONUTF8": "1"}).returncode == 0
+        done = report(plain, tmp_path / "c", ascii_locale)
+        assert done.returncode == 0, done.stderr
+        written = (tmp_path / "c" / f"plain.{fmt}").read_bytes()
+        assert written == (tmp_path / "utf8" / f"plain.{fmt}").read_bytes()
+        if fmt == "csv":
+            assert "\u03c3".encode("utf-8") in written
+        # A kind the filesystem encoding cannot hold is an i/o error, with no file left.
+        done = report(_report_text(kind="\u03ba"), tmp_path / "k", ascii_locale)
+        assert done.returncode == 4, done.stderr
+        assert b"i/o error" in done.stderr
+        assert list((tmp_path / "k").iterdir()) == []
 
 
 def _subcommands():

@@ -148,18 +148,30 @@ class TestGenQuadraticTask:
         lam = gen_quadratic_task(cfg).eigenvalues
         assert lam.max() / lam.min() == pytest.approx(100.0, abs=1e-8)
 
-    def test_basis_orthonormal(self):
+    def test_basis_is_none(self):
         task = gen_quadratic_task(ExperimentConfig(seed=10, dimension=40))
-        assert np.max(np.abs(task.basis.T @ task.basis - np.eye(40))) <= 1e-10
+        assert task.basis is None
+        with pytest.raises(ConfigError, match="rotated_losses"):
+            task.loss(task.theta_star)
+        with pytest.raises(ConfigError, match="rotated_losses"):
+            task.sample_sublevel(RngStream(10, 0))
 
     @pytest.mark.parametrize("seed,dim", [(0, 1), (10, 40), (123, 300)])
-    def test_stream_layout(self, seed, dim):
-        # theta_star is the first D normals of stream 2; the basis is the Haar draw of stream 5.
+    def test_stream_layout(self, seed, dim, monkeypatch):
+        # theta_star is the first D normals of stream 2, the only stream drawn.
         theta_star = RngStream(seed, 2).generator().normal(size=dim)
-        basis = geometry.haar_orthogonal(dim, RngStream(seed, 5).generator())
+        drawn = []
+        generator = RngStream.generator
+
+        def recording(self):
+            drawn.append((self.seed, self.stream_id))
+            return generator(self)
+
+        monkeypatch.setattr(RngStream, "generator", recording)
         task = gen_quadratic_task(ExperimentConfig(seed=seed, dimension=dim))
+        assert drawn == [(seed, 2)]
         assert np.array_equal(task.theta_star, theta_star)
-        assert np.array_equal(task.basis, basis)
+        assert task.basis is None
 
 
 class TestRunSaturation:

@@ -42,36 +42,22 @@ class TestQuadraticTask:
         with pytest.raises(ConfigError):
             QuadraticTask(np.zeros(2), np.ones(2), np.array([[1.0, 1.0], [0.0, 1.0]]), 0.5)
 
-    def test_lazy_basis_checked_on_first_read(self):
-        calls = []
+    def test_rejects_wrong_basis_shape(self):
+        with pytest.raises(ConfigError, match="dimensions disagree"):
+            QuadraticTask(np.zeros(3), np.ones(3), np.eye(2), 0.5)
 
-        def skewed():
-            calls.append(1)
-            return np.array([[1.0, 1.0], [0.0, 1.0]])
-
-        task = QuadraticTask(np.zeros(2), np.ones(2), skewed, 0.5)
+    def test_no_basis_loss_raises(self):
+        # Widths are basis-invariant; the loss needs a fixed orientation.
+        task = QuadraticTask(np.zeros(2), np.ones(2), None, 0.5)
+        assert task.basis is None
         assert width_jensen(task) == math.sqrt(2.0)
-        assert calls == []
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="rotated_losses"):
             task.loss(np.zeros(2))
-        assert calls == [1]
 
-    def test_lazy_basis_wrong_shape_rejected(self):
-        task = QuadraticTask(np.zeros(3), np.ones(3), lambda: np.eye(2), 0.5)
-        with pytest.raises(ConfigError):
+    def test_no_basis_sample_sublevel_raises(self):
+        task = QuadraticTask(np.zeros(3), np.ones(3), None, 0.5)
+        with pytest.raises(ConfigError, match="rotated_losses"):
             task.sample_sublevel(RngStream(0, 0))
-
-    def test_lazy_basis_built_once(self):
-        calls = []
-
-        def identity():
-            calls.append(1)
-            return np.eye(3)
-
-        task = QuadraticTask(np.ones(3), np.ones(3), identity, 0.5)
-        assert task.loss(np.zeros(3)) == 1.5
-        assert task.loss(np.ones(3)) == 0.0
-        assert calls == [1]
 
     def test_loss_at_optimum(self):
         task = identity_task(3)

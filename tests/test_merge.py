@@ -195,6 +195,11 @@ class TestNMax:
         with pytest.raises(ConfigError):
             n_max(1.0, 0.5, 0.0)
 
+    @pytest.mark.parametrize("sigma2", [float("nan"), -1.0, 0.0])
+    def test_bad_sigma2(self, sigma2):
+        with pytest.raises(ConfigError, match="sigma2"):
+            n_max(sigma2, 0.5, 0.1)
+
 
 class TestTermination:
     def test_flat_trace(self):

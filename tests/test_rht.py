@@ -251,11 +251,12 @@ class TestForward:
         draws = 3.0 * RngStream(56, len(widths)).generator().normal(size=(300, net.param_count))
         ref = np.stack([reference_forward(net, d, grid) for d in draws])
         assert np.array_equal(net.forward(draws, grid), ref)
-        assert all(np.array_equal(net.forward(d, grid), r) for d, r in zip(draws[:20], ref))
+        # A row alone gives the same outputs as within the stack.
+        assert all(np.array_equal(net.forward(draws[i : i + 1], grid)[0], ref[i]) for i in range(20))
 
     @pytest.mark.parametrize(
-        "shape", [(), (32,), (3, 32), (3, 34), (2, 3, 33)],
-        ids=["scalar", "short-vector", "narrow-stack", "wide-stack", "3-d"],
+        "shape", [(), (32,), (33,), (3, 32), (3, 34), (2, 3, 33)],
+        ids=["scalar", "short-vector", "vector", "narrow-stack", "wide-stack", "3-d"],
     )
     def test_bad_shape_config_error(self, shape):
         net = TinyNetSpec()
@@ -263,7 +264,8 @@ class TestForward:
         with pytest.raises(ConfigError):
             net.forward(np.zeros(shape), net.grid())
 
-    @pytest.mark.parametrize("shape", [(33,), (4, 33)], ids=["vector", "stack"])
+    # "vector" is one parameter vector as a one-row stack; a 1-D input is a ConfigError above.
+    @pytest.mark.parametrize("shape", [(1, 33), (4, 33)], ids=["vector", "stack"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_numeric_error(self, shape, bad):
         net = TinyNetSpec()
@@ -284,10 +286,10 @@ class TestCoverageProxy:
                 net, sampler, n_samples, stream
             )
 
-    def test_zero_variance_params(self):
-        net = TinyNetSpec()
-        proxy, rng = coverage_proxy(net, "zero", 1000, RngStream(55, 0))
-        assert proxy == 0.0 and rng == 0.0
+    @pytest.mark.parametrize("sampler", ["zero", "uniform"])
+    def test_unknown_sampler_rejected(self, sampler):
+        with pytest.raises(ConfigError, match="param sampler"):
+            coverage_proxy(TinyNetSpec(), sampler, 1000, RngStream(55, 0))
 
     def test_deterministic_per_stream(self):
         net = TinyNetSpec()
@@ -308,7 +310,7 @@ class TestCoverageProxy:
         gen = RngStream(55, 4).generator()
         draws = gen.normal(size=(200, net.param_count))
         grid = net.grid()
-        outs = np.stack([net.forward(d, grid) for d in draws])
+        outs = net.forward(draws, grid)
         assert outs.var(axis=0).mean() == pytest.approx(
             outs[::-1].var(axis=0).mean(), rel=1e-12
         )
