@@ -38,6 +38,14 @@ def _load_config(args) -> experiments.ExperimentConfig:
     return cfg
 
 
+def _size(text: str) -> int:
+    """Parse a size flag, rejecting values no array can be allocated at."""
+    n = int(text)
+    if n > experiments.MAX_SIZE:
+        raise argparse.ArgumentTypeError(f"{n} exceeds the largest array size {experiments.MAX_SIZE}")
+    return n
+
+
 def _emit(report: experiments.Report, args, stem: str, plot=()) -> None:
     """Write <stem>.<format> and, with --plot, <stem>.svg of each (label,
     column) in plot against column 0. Prints every path written."""
@@ -192,20 +200,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vector", help="MMPV input vector")
 
     p = add("width", cmd_width, "Gaussian width of the task sublevel set", config=True, report=True)
-    p.add_argument("--samples", type=int, default=20_000)
+    p.add_argument("--samples", type=_size, default=20_000)
 
     p = add(
         "kinematics", cmd_kinematics, "cone/subspace intersection transition curve",
         report=True, plot=True,
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=60)
+    p.add_argument("--dim", type=_size, default=60)
     p.add_argument("--half-angle-deg", type=float)
-    p.add_argument("--subspace-dim", type=int)
-    p.add_argument("--k-min", type=int, default=1)
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--k-step", type=int, default=1)
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--subspace-dim", type=_size)
+    p.add_argument("--k-min", type=_size, default=1)
+    p.add_argument("--k-max", type=_size)
+    p.add_argument("--k-step", type=_size, default=1)
+    p.add_argument("--trials", type=_size, default=500)
 
     add("saturate", cmd_saturate, "saturation sweep over merge counts",
         config=True, report=True, plot=True)

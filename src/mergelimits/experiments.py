@@ -27,6 +27,10 @@ from .tensorio import LowRankDelta, RngStream
 
 SCHEMA_VERSION = 2
 
+# Largest size any float64 array can take: its byte count must fit numpy's
+# index type. Sizes past it raise ValueError/OverflowError, not MemoryError.
+MAX_SIZE = np.iinfo(np.intp).max // 8
+
 
 def _parse_json(text: str, what: str):
     try:
@@ -77,8 +81,8 @@ class ExperimentConfig:
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         require_real(self, "sigma2", "rho", "delta", "epsilon")
-        if self.dimension < 1 or self.n_experts < 1 or self.rank < 1:
-            raise ConfigError("dimension, n_experts and rank must be >= 1")
+        if not all(1 <= getattr(self, f) <= MAX_SIZE for f in ("dimension", "n_experts", "rank")):
+            raise ConfigError(f"dimension, n_experts and rank must be in [1, {MAX_SIZE}]")
         if not self.sigma2 > 0:
             raise ConfigError(f"sigma2 must be > 0, got {self.sigma2}")
         if not 0 <= self.rho <= 1:
@@ -389,12 +393,7 @@ def run_rht_study(cfg: ExperimentConfig) -> Report:
     c2, range2 = rht.coverage_proxy(net, "rht", 2000, cov_stream, rht_params=cfg.rht_params)
     diag = None
     if transformed[-1].size >= 10_000:
-        r = rht.tail_diagnostics(transformed[-1])
-        diag = {
-            "excess_kurtosis": r.excess_kurtosis,
-            "hill_exponent": r.hill_exponent,
-            "hill_stderr": r.hill_stderr,
-        }
+        diag = asdict(rht.tail_diagnostics(transformed[-1]))
     extra = {
         "coverage_gaussian": c1,
         "coverage_rht": c2,

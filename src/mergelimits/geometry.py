@@ -149,27 +149,6 @@ def redundancy_bound_check(task: QuadraticTask, theta_k: np.ndarray, active: int
     return active <= task.dim - projected_width_sq(task, theta_k, active) + _ANGLE_TOL
 
 
-def project_circular_cone(x: np.ndarray, cone: CircularCone) -> np.ndarray:
-    """Euclidean-nearest point of the cone.
-
-    Inside the cone the point is unchanged; inside the polar cone the
-    projection is 0; otherwise project onto the nearest boundary ray.
-    """
-    x = as_pvec(x, cone.axis.size)
-    t = float(x @ cone.axis)
-    w = x - t * cone.axis
-    rho = float(np.linalg.norm(w))
-    tan_a = math.tan(cone.half_angle)
-    if rho <= t * tan_a:
-        return x.copy()
-    # Best alignment with any boundary ray; <= 0 means x is in the polar cone.
-    dot = math.cos(cone.half_angle) * t + math.sin(cone.half_angle) * rho
-    if dot <= 0 or rho == 0.0:
-        return np.zeros_like(x)
-    ray = math.cos(cone.half_angle) * cone.axis + math.sin(cone.half_angle) * (w / rho)
-    return dot * ray
-
-
 def statdim_cone_mc(cone: CircularCone, dim: int, samples: int, stream: RngStream) -> tuple[float, float]:
     """Monte-Carlo statistical dimension E|Pi_C(g)|^2 with stderr."""
     if samples < 1000:

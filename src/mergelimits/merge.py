@@ -3,20 +3,19 @@
 Covers the convex combination of expert parameter vectors, the merged
 variance under a general correlation structure, its equicorrelated closed
 form sigma^2 * (rho + (1 - rho)/n), the limiting value sigma^2 * rho, the
-merge-count upper bound floor(sigma^2 * (1 - rho) / delta), stopping
-rules on a variance trace, and merge-weight optimization on the
-probability simplex.
+merge-count upper bound floor(sigma^2 * (1 - rho) / delta), and stopping
+rules on a variance trace.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .tensorio import as_matrix, as_pvec
 
 _SIMPLEX_TOL = 1e-12
@@ -135,8 +134,10 @@ def n_max(sigma2: float, rho: float, delta: float) -> int:
         raise ConfigError(f"delta must be > 0, got {delta}")
     if not 0 <= rho <= 1:
         raise ConfigError(f"rho must be in [0, 1], got {rho}")
-    x = sigma2 * (1.0 - rho) / delta
-    return int(math.floor(x * (1.0 + 1e-12) + 1e-12))
+    x = sigma2 * (1.0 - rho) / delta * (1.0 + 1e-12) + 1e-12
+    if not math.isfinite(x):
+        raise ConfigError(f"sigma2 * (1 - rho) / delta is not finite for {sigma2}, {rho}, {delta}")
+    return int(math.floor(x))
 
 
 def termination_check(
@@ -158,66 +159,3 @@ def termination_check(
     else:
         hits = np.nonzero(trace - float(limit) < delta)[0]
     return int(hits[0]) if hits.size else None
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sorted-threshold)."""
-    v = np.asarray(v, dtype=np.float64)
-    # Stable sort so ties break toward the lower index.
-    u = np.sort(v, kind="stable")[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0
-    k = idx[cond][-1]
-    tau = css[k - 1] / k
-    out = np.maximum(v - tau, 0.0)
-    return out / out.sum()
-
-
-def optimize_weights(
-    experts: Sequence[np.ndarray],
-    objective: Callable[[np.ndarray], float],
-    iters: int = 200,
-    step: float = 0.1,
-) -> MergeWeights:
-    """Projected gradient descent for merge weights on the simplex.
-
-    The objective receives the merged parameter vector. Gradients are
-    estimated by central finite differences in weight space; steps that do
-    not improve the objective are rejected (so the accepted objective is
-    non-increasing).
-    """
-    if iters < 1:
-        raise ConfigError(f"iters must be >= 1, got {iters}")
-    if not step > 0:
-        raise ConfigError(f"step must be > 0, got {step}")
-    n = len(experts)
-    if n == 1:
-        return MergeWeights(np.array([1.0]))
-    mat = np.stack([as_pvec(e) for e in experts])
-
-    def f(alphas: np.ndarray) -> float:
-        val = float(objective(alphas @ mat))
-        if not math.isfinite(val):
-            raise NumericError("objective returned a non-finite value")
-        return val
-
-    alphas = np.full(n, 1.0 / n)
-    best = f(alphas)
-    h = 1e-6
-    lr = step
-    for _ in range(iters):
-        grad = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            grad[i] = (f(project_simplex(alphas + e)) - f(project_simplex(alphas - e))) / (2 * h)
-        cand = project_simplex(alphas - lr * grad)
-        val = f(cand)
-        if val <= best:
-            alphas, best = cand, val
-        else:
-            lr *= 0.5
-            if lr < 1e-12:
-                break
-    return MergeWeights(alphas)

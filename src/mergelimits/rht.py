@@ -3,20 +3,20 @@
 Two-step transform: subtract an independent Gaussian, then amplify each
 component with the odd map T(x) = sign(x) |x|^gamma (1 + alpha e^{-beta|x|}).
 Includes the exact change-of-variables density for the pure-power case
-(alpha = 0), tail diagnostics (excess kurtosis, Hill exponent, KS distance),
-and an output-dispersion coverage proxy on a tiny reference network.
+(alpha = 0), tail diagnostics (excess kurtosis and Hill exponent), and an
+output-dispersion coverage proxy on a tiny reference network.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, require_real
 from .tensorio import RngStream, as_matrix, as_pvec, gaussian_sample
+
 
 @dataclass(frozen=True)
 class RHTParams:
@@ -135,11 +135,6 @@ class TailReport:
     excess_kurtosis: float
     hill_exponent: float
     hill_stderr: float
-    ks_distance: Optional[float] = None
-
-    def __post_init__(self):
-        if self.ks_distance is not None and not 0 <= self.ks_distance <= 1:
-            raise ConfigError(f"ks_distance must be in [0, 1], got {self.ks_distance}")
 
 
 def hill_estimator(samples: np.ndarray, tail_fraction: float) -> tuple[float, float]:
@@ -160,12 +155,8 @@ def hill_estimator(samples: np.ndarray, tail_fraction: float) -> tuple[float, fl
     return hill, hill / math.sqrt(k)
 
 
-def tail_diagnostics(
-    samples: np.ndarray,
-    tail_fraction: float = 0.05,
-    cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> TailReport:
-    """Excess kurtosis, Hill exponent, and optional KS distance vs a CDF."""
+def tail_diagnostics(samples: np.ndarray, tail_fraction: float = 0.05) -> TailReport:
+    """Excess kurtosis and Hill exponent with its stderr."""
     from scipy import stats
     x = as_pvec(samples)
     if x.size < 10_000:
@@ -174,10 +165,7 @@ def tail_diagnostics(
         raise ConfigError(f"tail_fraction must be in (0, 0.2], got {tail_fraction}")
     kurt = float(stats.kurtosis(x, fisher=True))
     hill, hill_se = hill_estimator(x, tail_fraction)
-    ks = None
-    if cdf is not None:
-        ks = float(stats.kstest(x, cdf).statistic)
-    return TailReport(kurt, hill, hill_se, ks)
+    return TailReport(kurt, hill, hill_se)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import pytest
 import mergelimits
 from mergelimits import geometry
 from mergelimits.cli import build_parser, main
-from mergelimits.experiments import ExperimentConfig, Report
+from mergelimits.experiments import MAX_SIZE, ExperimentConfig, Report
 from mergelimits.tensorio import read_pvec, write_matrix, write_pvec
 
 
@@ -192,10 +192,11 @@ class TestSaturate:
             {"sigma2": float("inf")},
             {"sigma2": 10**400},
             {"rht_params": {"gamma": 0.5, "alpha": 5.0, "beta": 1e12}},
+            {"delta": 1e-320},
         ],
         ids=["not-object", "spectrum-key", "spectrum-type", "rht-key", "rht-target", "out-dir",
              "rht-alpha-nan", "rht-sigma-g-nan", "rht-alpha-inf", "sigma2-inf", "sigma2-huge-int",
-             "rht-non-monotone"],
+             "rht-non-monotone", "n-max-overflow"],
     )
     def test_malformed_config_exit_2(self, tmp_path, cfg):
         bad = tmp_path / "bad.json"
@@ -242,6 +243,34 @@ def test_unallocatable_size_exit_2(tmp_path, argv, cfg, capsys):
     # The first allocation of the requested size fails, so the peak does not move
     # (ru_maxrss is in KiB on Linux; tracemalloc cannot tell, numpy traces failed requests).
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss_before < 64 * 1024
+    assert list(tmp_path.iterdir()) == ([path] if cfg is not None else [])
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["width", "--samples", 10**20], None),
+        (["kinematics", "--dim", 10**20, "--half-angle-deg", 30], None),
+        (["kinematics", "--dim", 10**20, "--subspace-dim", 3], None),
+        (["saturate"], {"dimension": 10**20}),
+        (["saturate"], {"rank": 10**20}),
+    ],
+    ids=["width-samples", "kinematics-cone-dim", "kinematics-subspace-dim",
+         "saturate-dimension", "saturate-rank"],
+)
+def test_size_past_index_range_exit_2(tmp_path, argv, cfg, capsys):
+    # numpy raises ValueError or OverflowError, not MemoryError, for these, so
+    # the flag parser and ExperimentConfig reject them before any allocation.
+    if cfg is not None:
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        argv = [*argv, "--config", path]
+    try:
+        code = run([*argv, "--out", tmp_path])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert str(MAX_SIZE) in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == ([path] if cfg is not None else [])
 
 

@@ -10,6 +10,7 @@ import pytest
 from mergelimits import geometry
 from mergelimits.errors import ConfigError, NumericError
 from mergelimits.experiments import (
+    MAX_SIZE,
     ExperimentConfig,
     Report,
     SpectrumDescriptor,
@@ -67,6 +68,13 @@ class TestExperimentConfig:
     def test_field_types_rejected(self, fields):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(fields)
+
+    @pytest.mark.parametrize("name", ["dimension", "n_experts", "rank"])
+    def test_sizes_bounded_by_float64_array_limit(self, name):
+        # The bound is checked before anything is allocated.
+        assert getattr(ExperimentConfig(**{name: MAX_SIZE}), name) == MAX_SIZE
+        with pytest.raises(ConfigError, match=str(MAX_SIZE)):
+            ExperimentConfig(**{name: MAX_SIZE + 1})
 
     def test_numpy_scalars_accepted(self):
         cfg = ExperimentConfig(seed=np.int64(3), rho=np.float64(0.25))

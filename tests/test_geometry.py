@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize as sciopt
 from scipy import stats
 
 from mergelimits import geometry
@@ -13,7 +12,6 @@ from mergelimits.geometry import (
     haar_orthogonal,
     kinematics_transition,
     marginal_gains,
-    project_circular_cone,
     projected_width_sq,
     redundancy_bound_check,
     rotated_losses,
@@ -252,62 +250,15 @@ class TestStatDim:
         # Wide cone: statistical dimension approaches the ambient dimension.
         assert a > 15
 
-
-class TestConeProjection:
-    def _cone(self, dim=3, angle=math.pi / 4):
-        axis = np.zeros(dim)
+    @pytest.mark.parametrize("d", [3, 20, 60])
+    def test_self_dual_cone_is_half_the_space(self, d):
+        # delta(C) + delta(C polar) = D, and the polar of the 45-degree cone is
+        # its mirror image -C, so delta = D/2 exactly (arXiv:1303.6672).
+        axis = np.zeros(d)
         axis[0] = 1.0
-        return CircularCone(axis, angle)
-
-    def test_inside_unchanged(self):
-        cone = self._cone()
-        x = np.array([2.0, 0.5, 0.0])
-        assert np.array_equal(project_circular_cone(x, cone), x)
-
-    def test_polar_maps_to_zero(self):
-        cone = self._cone()
-        assert np.array_equal(project_circular_cone(-cone.axis, cone), np.zeros(3))
-
-    def test_perpendicular_boundary(self):
-        cone = self._cone()
-        x = np.array([0.0, 1.0, 0.0])
-        p = project_circular_cone(x, cone)
-        assert float(p @ p) == pytest.approx(0.5, abs=1e-12)
-        cos_angle = float(p @ cone.axis) / np.linalg.norm(p)
-        assert math.acos(cos_angle) == pytest.approx(math.pi / 4, abs=1e-12)
-
-    def test_against_constrained_minimization(self):
-        # Oracle: numeric minimization of |p - x| subject to p in the cone.
-        gen = RngStream(44, 0).generator()
-        cone = self._cone(dim=4, angle=math.radians(35))
-        tan_a = math.tan(cone.half_angle)
-        for _ in range(20):
-            x = gen.normal(size=4) * 2.0
-
-            def neg_feasibility(p):
-                t = p @ cone.axis
-                w = p - t * cone.axis
-                return t * tan_a - np.linalg.norm(w)
-
-            res = sciopt.minimize(
-                lambda p: np.sum((p - x) ** 2),
-                x0=np.array([1.0, 0.0, 0.0, 0.0]),
-                constraints=[{"type": "ineq", "fun": neg_feasibility}],
-                method="SLSQP",
-            )
-            ours = project_circular_cone(x, cone)
-            assert np.sum((ours - x) ** 2) <= res.fun + 1e-5 * (1 + res.fun)
-
-    def test_idempotent_and_nonexpansive(self):
-        gen = RngStream(44, 1).generator()
-        cone = self._cone(dim=5, angle=math.radians(50))
-        for _ in range(200):
-            x = gen.normal(size=5) * 3
-            y = gen.normal(size=5) * 3
-            px = project_circular_cone(x, cone)
-            py = project_circular_cone(y, cone)
-            assert np.allclose(project_circular_cone(px, cone), px, atol=1e-10)
-            assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
+        cone = CircularCone(axis, math.pi / 4)
+        est, se = statdim_cone_mc(cone, d, 100_000, RngStream(46, d))
+        assert abs(est - d / 2) < 4 * se
 
 
 class TestKinematics:
