@@ -150,6 +150,8 @@ def cmd_subspace(args) -> None:
     extra = {
         "centered": not args.no_center,
         "rank": rep.rank,
+        "tail_count": rep.tail_count,
+        "tail_bound": rep.tail_bound,
         "components_for_95pct": (
             subspace.components_for_threshold(rep, 0.95) if not rep.degenerate else None
         ),

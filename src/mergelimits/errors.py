@@ -7,6 +7,12 @@ file/format problems -> 4.
 import math
 import numbers
 
+import numpy as np
+
+# Largest size any float64 array can take: its byte count must fit numpy's
+# index type. Sizes past it raise ValueError/OverflowError, not MemoryError.
+MAX_SIZE = np.iinfo(np.intp).max // 8
+
 
 class MergeLimitsError(Exception):
     """Base class for all package errors."""
@@ -28,6 +34,12 @@ class FormatError(MergeLimitsError):
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+def require_size(rows: int, cols: int, what: str) -> None:
+    """Raise ConfigError if a rows x cols float64 array is past numpy's range."""
+    if int(rows) * int(cols) > MAX_SIZE:
+        raise ConfigError(f"{what}: {rows} x {cols} exceeds the largest array size {MAX_SIZE}")
 
 
 def require_real(obj, *names: str) -> None:

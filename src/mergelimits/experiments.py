@@ -22,14 +22,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import geometry, merge, rht
-from .errors import ConfigError, require_real
+from .errors import MAX_SIZE, ConfigError, require_real, require_size
 from .tensorio import LowRankDelta, RngStream
 
-SCHEMA_VERSION = 2
-
-# Largest size any float64 array can take: its byte count must fit numpy's
-# index type. Sizes past it raise ValueError/OverflowError, not MemoryError.
-MAX_SIZE = np.iinfo(np.intp).max // 8
+SCHEMA_VERSION = 3
 
 
 def _parse_json(text: str, what: str):
@@ -208,6 +204,7 @@ def gen_experts(cfg: ExperimentConfig, low_rank: bool = False):
     gen = stream.generator()
     sigma = math.sqrt(cfg.sigma2)
     d, n = cfg.dimension, cfg.n_experts
+    require_size(n, d, "n_experts x dimension")
     z0 = gen.normal(size=d)
     zs = gen.normal(size=(n, d))
     experts = sigma * (math.sqrt(cfg.rho) * z0 + math.sqrt(1.0 - cfg.rho) * zs)

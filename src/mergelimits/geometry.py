@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_size
 from .tensorio import RngStream, as_matrix, as_pvec
 
 _ANGLE_TOL = 1e-10
@@ -113,6 +113,7 @@ def width_mc(task: QuadraticTask, samples: int, stream: RngStream) -> tuple[floa
     """
     if samples < 1000:
         raise ConfigError(f"need >= 1000 samples, got {samples}")
+    require_size(samples, task.dim, "samples x dimension")
     g = stream.generator().normal(size=(samples, task.dim))
     vals = math.sqrt(2.0 * task.epsilon) * np.sqrt((g * g) @ (1.0 / task.eigenvalues))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))

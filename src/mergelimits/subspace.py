@@ -13,10 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tensorio import LowRankDelta, as_matrix
+from .tensorio import LowRankDelta, RngStream, as_matrix
 
 # Singular values at or below this are treated as exact zeros.
 _ZERO_SV = 1e-30
+
+# Fixed Gaussian test matrices of the randomized range finder. The certified
+# result does not depend on the draw beyond round-off, so no seed is exposed.
+_SKETCH_STREAM = RngStream(0, 200)
+_SKETCH_START = 16
+_RESIDUAL_ROWS = 256
 
 N_LOG_BANDS = 13  # k = 0..12, plus overflow [1, inf) and underflow (0, e^-13)
 
@@ -28,6 +34,10 @@ class SpectrumReport:
     counts_per_log_band has N_LOG_BANDS + 2 entries: index 0 is the overflow
     band [e^0, inf), index 1 + k is [e^-(k+1), e^-k) for k = 0..12, and the
     last index collects everything below e^-13 (zeros included).
+
+    A certified report lists only the rank values; the tail_count values it
+    drops are all at most tail_bound, below the rank tolerance and e^-13,
+    and are counted in the last band. A full SVD has tail_count 0.
     """
 
     singular_values: np.ndarray
@@ -35,6 +45,8 @@ class SpectrumReport:
     counts_per_log_band: np.ndarray
     degenerate: bool = False
     rank: int = 0
+    tail_count: int = 0
+    tail_bound: float = 0.0
 
     def __post_init__(self):
         sv = np.asarray(self.singular_values, dtype=np.float64)
@@ -87,20 +99,80 @@ def spectrum_report(singular_values: np.ndarray, shape=None) -> SpectrumReport:
     return SpectrumReport(sv, power / total, band_counts(sv), False, rank)
 
 
+def _sketch_spectrum(m: np.ndarray, k: int) -> SpectrumReport | None:
+    """Certified spectrum of m from a rank-k range sketch, or None.
+
+    Randomized range finder with one power step (Halko, Martinsson, Tropp
+    2011): Q = qr(M·Mᵀ·M·Ω), B = QᵀM, s = svd(B). With ρ = ‖M − QB‖_F,
+    s_i ≤ σ_i(M) ≤ s_i + ρ (QB projects M; Weyl). The rank tolerance
+    σ₁·max(shape)·eps lies in [τ_lo, τ_hi] for σ₁ in [s₁, s₁ + ρ], so
+    r = #{s_i > τ_hi} is the exact rank when every σ_i with i > r, at most
+    s_{r+1} + ρ, is at or below τ_lo. The report is certified only if that
+    holds, that bound is below e^-13, no kept s_i is within ρ of a band
+    edge and τ_lo is above the exact-zero cutoff, so rank and band counts
+    equal those of the exact spectrum.
+    """
+    omega = _SKETCH_STREAM.generator().normal(size=(m.shape[1], k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = m @ (m.T @ (m @ omega))
+    if not np.all(np.isfinite(y)):
+        return None  # σ³ overflowed; the full SVD scales internally
+    q, _ = np.linalg.qr(y)
+    b = q.T @ m
+    s = np.linalg.svd(b, compute_uv=False)
+    # Residual by row blocks: never a second m-sized array.
+    sq = 0.0
+    for i in range(0, m.shape[0], _RESIDUAL_ROWS):
+        block = m[i : i + _RESIDUAL_ROWS] - q[i : i + _RESIDUAL_ROWS] @ b
+        sq += float(np.vdot(block, block))
+    rho = math.sqrt(sq)
+    scale = max(m.shape) * np.finfo(np.float64).eps
+    tau_lo, tau_hi = s[0] * scale, (s[0] + rho) * scale
+    r = int(np.sum(s > tau_hi))
+    if not (1 <= r < k and tau_lo > _ZERO_SV):
+        return None
+    kept, bound = s[:r], float(s[r] + rho)
+    near_edge = np.any(np.abs(kept[:, None] + _NEG_BAND_EDGES) <= rho)
+    if bound > tau_lo or bound >= math.exp(-N_LOG_BANDS) or near_edge:
+        return None
+    counts = band_counts(kept)
+    tail = min(m.shape) - r
+    counts[-1] += tail
+    return SpectrumReport(kept, kept * kept / np.vdot(m, m), counts, False, r, tail, bound)
+
+
+def _dense_spectrum(m: np.ndarray) -> SpectrumReport:
+    """Spectrum of a dense matrix: certified from a randomized sketch of
+    k = 16, 32, ... columns while k <= min(shape) / 4, else the full SVD
+    (all-zero, full-rank and small inputs), which lists every value."""
+    k = _SKETCH_START
+    while k <= min(m.shape) / 4:
+        rep = _sketch_spectrum(m, k)
+        if rep is not None:
+            return rep
+        k *= 2
+    sv = np.linalg.svd(m, compute_uv=False)
+    return spectrum_report(np.where(sv > _ZERO_SV, sv, 0.0), m.shape)
+
+
 def pca_explained(stacked_deltas: np.ndarray, center: bool = True) -> SpectrumReport:
-    """Explained-variance spectrum of stacked experts (rows) by SVD.
+    """Explained-variance spectrum of stacked experts (rows).
 
     Rows are experts, columns flattened parameters. By default the mean
-    expert is subtracted first; pass center=False to skip.
+    expert is subtracted first; pass center=False to skip. A low-rank stack
+    gets a certified report (see _sketch_spectrum): the rank values only,
+    each over the exact squared Frobenius norm, plus tail_count and
+    tail_bound for the round-off values left out. Otherwise every singular
+    value of a full SVD is listed.
     """
     m = as_matrix(stacked_deltas)
     if m.shape[0] == 0:
         raise ConfigError("no experts: the stacked matrix has zero rows")
+    if m.shape[1] == 0:
+        raise ConfigError("no parameters: the stacked matrix has zero columns")
     if center:
         m = m - m.mean(axis=0, keepdims=True)
-    sv = np.linalg.svd(m, compute_uv=False)
-    sv = np.where(sv > _ZERO_SV, sv, 0.0)
-    return spectrum_report(sv, m.shape)
+    return _dense_spectrum(m)
 
 
 def components_for_threshold(report: SpectrumReport, frac: float) -> int:
@@ -136,7 +208,9 @@ def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
 def sv_tail_stats(delta) -> SpectrumReport:
     """Log-band singular-value statistics of a delta matrix.
 
-    Accepts any dense matrix, or a LowRankDelta, which is never densified:
+    Accepts any dense matrix, which goes through the same certified sketch
+    or full SVD as pca_explained (uncentered), or a LowRankDelta, which is
+    never densified:
     with left = Q_l·R_l and rightᵀ = Q_r·R_r, the singular values of
     scale·left·right are those of the r×r core scale·R_l·R_rᵀ (Halko,
     Martinsson, Tropp 2011), padded with zeros to min(shape).
@@ -146,11 +220,9 @@ def sv_tail_stats(delta) -> SpectrumReport:
         r_r = np.linalg.qr(delta.right.T, mode="r")
         sv = np.zeros(min(delta.shape))
         sv[: delta.rank] = np.linalg.svd(delta.scale * (r_l @ r_r.T), compute_uv=False)
-        shape = delta.shape
+        rep = spectrum_report(sv, delta.shape)
     else:
-        m = as_matrix(delta)
-        sv = np.linalg.svd(m, compute_uv=False)
-        shape = m.shape
-    if np.all(sv <= _ZERO_SV):
+        rep = _dense_spectrum(as_matrix(delta))
+    if np.all(rep.singular_values <= _ZERO_SV):
         raise ConfigError("degenerate (all-zero) matrix")
-    return spectrum_report(sv, shape)
+    return rep

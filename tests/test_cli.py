@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import resource
 import subprocess
@@ -254,13 +255,17 @@ def test_unallocatable_size_exit_2(tmp_path, argv, cfg, capsys):
         (["kinematics", "--dim", 10**20, "--subspace-dim", 3], None),
         (["saturate"], {"dimension": 10**20}),
         (["saturate"], {"rank": 10**20}),
+        (["width", "--samples", 10**17], None),
+        (["saturate"], {"n_experts": 10**18, "dimension": 4}),
     ],
     ids=["width-samples", "kinematics-cone-dim", "kinematics-subspace-dim",
-         "saturate-dimension", "saturate-rank"],
+         "saturate-dimension", "saturate-rank", "width-samples-times-dim",
+         "saturate-experts-times-dim"],
 )
 def test_size_past_index_range_exit_2(tmp_path, argv, cfg, capsys):
     # numpy raises ValueError or OverflowError, not MemoryError, for these, so
-    # the flag parser and ExperimentConfig reject them before any allocation.
+    # the flag parser, ExperimentConfig and the draw sites of size products
+    # reject them before any allocation.
     if cfg is not None:
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(cfg))
@@ -295,12 +300,38 @@ class TestSubspace:
         assert len(rep.rows) == 4
         assert sum(r[2] for r in rep.rows) == pytest.approx(1.0, abs=1e-9)
 
+    def test_certified_report_extra(self, tmp_path):
+        gen = np.random.default_rng(2)
+        m = gen.normal(size=(300, 4)) @ gen.normal(size=(4, 200))
+        p = tmp_path / "stack.mmmx"
+        write_matrix(m, p)
+        out = tmp_path / "sub"
+        assert run(["subspace", p, "--out", out, "--format", "json", "--no-center"]) == 0
+        rep = Report.from_json((out / "subspace.json").read_text())
+        assert rep.extra["rank"] == len(rep.rows) == 4
+        assert rep.extra["tail_count"] == 200 - 4
+        assert 0 < rep.extra["tail_bound"] < math.exp(-13)
+        assert rep.extra["band_counts"][-1] == rep.extra["tail_count"]
+        assert sum(rep.extra["band_counts"]) == 200
+
+    def test_full_svd_report_extra(self, tmp_path):
+        p = tmp_path / "stack.mmmx"
+        write_matrix(np.random.default_rng(3).normal(size=(4, 9)), p)
+        assert run(["subspace", p, "--out", tmp_path, "--format", "json"]) == 0
+        rep = Report.from_json((tmp_path / "subspace.json").read_text())
+        assert rep.extra["tail_count"] == 0 and rep.extra["tail_bound"] == 0.0
+
     @pytest.mark.parametrize("flags", [[], ["--no-center"]], ids=["centered", "uncentered"])
     def test_zero_experts_exit_2(self, tmp_path, flags, capsys):
         p = tmp_path / "empty.mmmx"
         write_matrix(np.zeros((0, 9)), p)
         assert run(["subspace", p, "--out", tmp_path / "sub", *flags]) == 2
         assert "zero rows" in capsys.readouterr().err
+        assert not (tmp_path / "sub" / "subspace.csv").exists()
+        p = tmp_path / "no_columns.mmmx"
+        write_matrix(np.zeros((3, 0)), p)
+        assert run(["subspace", p, "--out", tmp_path / "sub", *flags]) == 2
+        assert "zero columns" in capsys.readouterr().err
         assert not (tmp_path / "sub" / "subspace.csv").exists()
 
 

@@ -270,3 +270,101 @@ class TestSvTailStats:
     def test_all_zero_rejected(self):
         with pytest.raises(ConfigError):
             sv_tail_stats(np.zeros((4, 4)))
+
+
+def planted(rows, cols, rank, seed):
+    gen = RngStream(67, seed).generator()
+    return gen.normal(size=(rows, rank)) @ gen.normal(size=(rank, cols))
+
+
+def full_svd_report(m):
+    """Reference: the full-SVD report, every singular value listed."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return spectrum_report(np.where(sv > 1e-30, sv, 0.0), m.shape)
+
+
+class TestCertifiedSpectrum:
+    @pytest.mark.parametrize("center", [True, False], ids=["centered", "uncentered"])
+    def test_matches_full_svd(self, center):
+        m = planted(600, 800, 5, 0)
+        rep = pca_explained(m, center=center)
+        c = m - m.mean(axis=0) if center else m
+        ref = full_svd_report(c)
+        sv = np.linalg.svd(c, compute_uv=False)
+        assert rep.rank == ref.rank == len(rep.singular_values) == 5
+        assert rep.tail_count + len(rep.singular_values) == min(m.shape)
+        assert rep.tail_bound >= sv[rep.rank]
+        assert rep.tail_bound <= sv[0] * max(m.shape) * np.finfo(np.float64).eps
+        assert np.array_equal(rep.counts_per_log_band, ref.counts_per_log_band)
+        top = ref.singular_values[: rep.rank]
+        assert np.max(np.abs(rep.singular_values - top) / top) <= 1e-13
+        fr = ref.explained_fractions[: rep.rank]
+        assert np.max(np.abs(rep.explained_fractions - fr) / fr) <= 1e-13
+        for frac in (0.3, 0.5, 0.9, 0.95, 0.999, 1.0):
+            assert components_for_threshold(rep, frac) == components_for_threshold(ref, frac)
+
+    def test_sv_tail_stats_takes_the_same_path(self):
+        m = planted(600, 800, 5, 0)
+        rep = sv_tail_stats(m)
+        uncentered = pca_explained(m, center=False)
+        assert rep.tail_count == uncentered.tail_count == 595
+        assert np.array_equal(rep.singular_values, uncentered.singular_values)
+        assert rep.tail_bound == uncentered.tail_bound
+
+    def test_rank_above_first_sketch_grows_k(self):
+        # The first sketch has 16 columns and certifies only a rank below 16,
+        # so a certified rank of 20 means the sketch grew.
+        m = planted(600, 800, 20, 1)
+        rep = pca_explained(m, center=False)
+        assert rep.rank == len(rep.singular_values) == 20
+        assert rep.tail_count == 580
+        ref = full_svd_report(m)
+        assert np.array_equal(rep.counts_per_log_band, ref.counts_per_log_band)
+        top = ref.singular_values[:20]
+        assert np.max(np.abs(rep.singular_values - top) / top) <= 1e-13
+
+    def test_full_rank_falls_back_to_full_svd(self):
+        m = RngStream(67, 2).generator().normal(size=(200, 240))
+        rep = pca_explained(m, center=False)
+        ref = full_svd_report(m)
+        assert rep.tail_count == 0 and rep.tail_bound == 0.0
+        assert rep.singular_values.tobytes() == ref.singular_values.tobytes()
+        assert rep.explained_fractions.tobytes() == ref.explained_fractions.tobytes()
+        assert np.array_equal(rep.counts_per_log_band, ref.counts_per_log_band)
+
+    @pytest.mark.parametrize("offset, certified", [(1e-14, False), (1e-10, True)],
+                             ids=["within-residual", "clear-of-edge"])
+    def test_value_near_a_band_edge(self, offset, certified):
+        # sigma_2 = e^-1 + offset over a round-off tail; the residual is ~3e-14,
+        # so the band of sigma_2 is certain only when offset exceeds it.
+        gen = RngStream(67, 3).generator()
+        u, _ = np.linalg.qr(gen.normal(size=(300, 2)))
+        v, _ = np.linalg.qr(gen.normal(size=(300, 2)))
+        m = (u * [1.5, math.exp(-1) + offset]) @ v.T + 1e-16 * gen.normal(size=(300, 300))
+        rep = pca_explained(m, center=False)
+        assert rep.rank == 2
+        assert (rep.tail_count > 0) == certified
+        assert np.array_equal(rep.counts_per_log_band, full_svd_report(m).counts_per_log_band)
+
+    def test_overflowing_power_step_falls_back(self):
+        # sigma^3 overflows float64 in M·Mᵀ·M·Ω; the full SVD does not.
+        m = 1e110 * planted(100, 120, 3, 5)
+        rep = pca_explained(m, center=False)
+        ref = full_svd_report(m)
+        assert rep.tail_count == 0 and rep.rank == ref.rank == 3
+        assert rep.singular_values.tobytes() == ref.singular_values.tobytes()
+
+    def test_all_zero_falls_back(self):
+        rep = pca_explained(np.zeros((80, 90)), center=False)
+        assert rep.degenerate and rep.rank == 0 and rep.tail_count == 0
+
+    def test_repeat_calls_are_byte_identical(self):
+        m = planted(600, 800, 5, 4)
+        a, b = pca_explained(m), pca_explained(m)
+        for field in ("singular_values", "explained_fractions", "counts_per_log_band"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert (a.rank, a.tail_count, a.tail_bound) == (b.rank, b.tail_count, b.tail_bound)
+
+    def test_zero_columns_rejected(self):
+        with pytest.raises(ConfigError, match="zero columns"):
+            pca_explained(np.zeros((3, 0)))
