@@ -69,10 +69,8 @@ def _write_pvec(vec: np.ndarray, args, name: str) -> None:
 
 def cmd_gen_experts(args) -> None:
     cfg = _load_config(args)
-    experts = experiments.gen_experts(cfg, low_rank=args.low_rank)
-    for i, e in enumerate(experts):
-        vec = e.dense().reshape(-1) if isinstance(e, tensorio.LowRankDelta) else e
-        _write_pvec(vec, args, f"expert_{i:03d}")
+    for i, e in enumerate(experiments.gen_experts(cfg, low_rank=args.low_rank)):
+        _write_pvec(e, args, f"expert_{i:03d}")
 
 
 def cmd_merge(args) -> None:

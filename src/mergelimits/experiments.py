@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import geometry, merge, rht
-from .errors import MAX_SIZE, ConfigError, require_real, require_size
-from .tensorio import LowRankDelta, RngStream
+from .errors import MAX_SIZE, ConfigError, NumericError, require_real, require_size
+from .tensorio import RngStream
 
 SCHEMA_VERSION = 3
 
@@ -189,16 +189,17 @@ def emit_report(report: Report, fmt: str, path) -> None:
 
 
 def gen_experts(cfg: ExperimentConfig, low_rank: bool = False):
-    """Equicorrelated expert deltas, full vectors or rank-r factored form.
+    """n equicorrelated expert deltas, each a float64 vector of length D.
 
-    The low-rank variant projects each full Gaussian delta m onto its top-r
-    left singular vectors and rescales to preserve the Frobenius norm
-    (second moments stay near target). The top r are the top-r eigenpairs
-    of the Gram matrix m·mᵀ, so no full SVD is computed: left = U_r and
-    right = U_rᵀ·m = S_r·V_rᵀ, the truncated SVD to round-off eps·σ₁/gap.
-    Every BLAS call in the loop goes through scipy: numpy and scipy each
-    load their own OpenBLAS, and alternating between them leaves one
-    thread pool spinning while the other works (2-3× slower here).
+    With low_rank, each delta, read as a √D × √D matrix m, is overwritten
+    in place by its projection onto its top-r left singular vectors,
+    rescaled to keep the Frobenius norm (second moments stay near target).
+    The top r are the top-r eigenpairs of the Gram matrix m·mᵀ, so no full
+    SVD is computed: U_r·U_rᵀ·m is the truncated SVD to round-off
+    eps·σ₁/gap. A Gram matrix that overflows is a NumericError. Every BLAS
+    call in the loop goes through scipy: numpy and scipy each load their
+    own OpenBLAS, and alternating between them leaves one thread pool
+    spinning while the other works (2-3× slower on a 2-core host).
     """
     stream = RngStream(cfg.seed, 1)
     gen = stream.generator()
@@ -209,7 +210,7 @@ def gen_experts(cfg: ExperimentConfig, low_rank: bool = False):
     zs = gen.normal(size=(n, d))
     experts = sigma * (math.sqrt(cfg.rho) * z0 + math.sqrt(1.0 - cfg.rho) * zs)
     if not low_rank:
-        return [experts[i] for i in range(n)]
+        return list(experts)
 
     d_out = int(round(math.sqrt(d)))
     if d_out * d_out != d:
@@ -219,18 +220,19 @@ def gen_experts(cfg: ExperimentConfig, low_rank: bool = False):
     from scipy.linalg import blas, eigh
 
     r = cfg.rank
-    deltas = []
     for i in range(n):
         m = experts[i].reshape(d_out, d_out)
         gram = blas.dsyrk(1.0, m.T, trans=1)  # upper triangle of m·mᵀ
+        total = float(np.trace(gram))
+        if not math.isfinite(total):
+            raise NumericError(f"expert {i}: squared Frobenius norm overflows ({total})")
         w, u = eigh(gram, lower=False, subset_by_index=[d_out - r, d_out - 1], check_finite=False)
         left = u[:, ::-1]
         right = blas.dgemm(1.0, left, m, trans_a=1)
         kept = math.sqrt(float(np.sum(np.maximum(w, 0.0))))
-        total = math.sqrt(float(np.trace(gram)))
-        scale = total / kept if kept > 0 else 1.0
-        deltas.append(LowRankDelta(left, right, scale))
-    return deltas
+        scale = math.sqrt(total) / kept if kept > 0 else 1.0
+        experts[i] = blas.dgemm(scale, left, right).reshape(-1)
+    return list(experts)
 
 
 def gen_quadratic_task(cfg: ExperimentConfig) -> geometry.QuadraticTask:

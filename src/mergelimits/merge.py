@@ -71,16 +71,6 @@ class CorrelationSpec:
         if n > 1 and np.linalg.eigvalsh(r).min() < -1e-8:
             raise ConfigError("rho is not positive semidefinite")
 
-    @staticmethod
-    def equicorrelated(sigma2: float, rho: float, n: int) -> "CorrelationSpec":
-        if n < 1:
-            raise ConfigError("n must be >= 1")
-        if n > 1 and not (-1.0 / (n - 1) - 1e-12 <= rho <= 1.0 + 1e-12):
-            raise ConfigError(f"rho={rho} infeasible for n={n}")
-        r = np.full((n, n), float(rho))
-        np.fill_diagonal(r, 1.0)
-        return CorrelationSpec(np.full(n, math.sqrt(sigma2)), r)
-
 
 def merge_linear(experts: Sequence[np.ndarray], w: MergeWeights) -> np.ndarray:
     """Componentwise convex combination sum_i alpha_i * theta_i."""

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .tensorio import LowRankDelta, RngStream, as_matrix
+from .errors import ConfigError, NumericError
+from .tensorio import RngStream, as_matrix
 
 # Singular values at or below this are treated as exact zeros.
 _ZERO_SV = 1e-30
@@ -58,7 +58,7 @@ class SpectrumReport:
         )
         if np.any(np.diff(sv) > 0):
             raise ConfigError("singular values must be descending")
-        if not self.degenerate and abs(fr.sum() - 1.0) > 1e-10:
+        if not self.degenerate and not abs(fr.sum() - 1.0) <= 1e-10:
             raise ConfigError(f"explained fractions sum to {fr.sum()}, expected 1")
 
     @property
@@ -92,8 +92,11 @@ def spectrum_report(singular_values: np.ndarray, shape=None) -> SpectrumReport:
     sv = np.sort(np.asarray(singular_values, dtype=np.float64))[::-1]
     side = max(shape) if shape is not None else sv.size
     rank = int(np.sum(sv > sv[0] * side * np.finfo(np.float64).eps)) if sv.size else 0
-    power = sv * sv
+    with np.errstate(over="ignore"):
+        power = sv * sv
     total = power.sum()
+    if not math.isfinite(total):
+        raise NumericError(f"sum of squared singular values overflows ({total})")
     if total <= 0:
         return SpectrumReport(sv, np.zeros_like(sv), band_counts(sv), True, rank)
     return SpectrumReport(sv, power / total, band_counts(sv), False, rank)
@@ -141,20 +144,6 @@ def _sketch_spectrum(m: np.ndarray, k: int) -> SpectrumReport | None:
     return SpectrumReport(kept, kept * kept / np.vdot(m, m), counts, False, r, tail, bound)
 
 
-def _dense_spectrum(m: np.ndarray) -> SpectrumReport:
-    """Spectrum of a dense matrix: certified from a randomized sketch of
-    k = 16, 32, ... columns while k <= min(shape) / 4, else the full SVD
-    (all-zero, full-rank and small inputs), which lists every value."""
-    k = _SKETCH_START
-    while k <= min(m.shape) / 4:
-        rep = _sketch_spectrum(m, k)
-        if rep is not None:
-            return rep
-        k *= 2
-    sv = np.linalg.svd(m, compute_uv=False)
-    return spectrum_report(np.where(sv > _ZERO_SV, sv, 0.0), m.shape)
-
-
 def pca_explained(stacked_deltas: np.ndarray, center: bool = True) -> SpectrumReport:
     """Explained-variance spectrum of stacked experts (rows).
 
@@ -163,7 +152,9 @@ def pca_explained(stacked_deltas: np.ndarray, center: bool = True) -> SpectrumRe
     gets a certified report (see _sketch_spectrum): the rank values only,
     each over the exact squared Frobenius norm, plus tail_count and
     tail_bound for the round-off values left out. Otherwise every singular
-    value of a full SVD is listed.
+    value of a full SVD is listed. The sketch tries k = 16, 32, ... columns
+    while k <= min(shape) / 4; all-zero, full-rank and small inputs get the
+    full SVD.
     """
     m = as_matrix(stacked_deltas)
     if m.shape[0] == 0:
@@ -172,7 +163,14 @@ def pca_explained(stacked_deltas: np.ndarray, center: bool = True) -> SpectrumRe
         raise ConfigError("no parameters: the stacked matrix has zero columns")
     if center:
         m = m - m.mean(axis=0, keepdims=True)
-    return _dense_spectrum(m)
+    k = _SKETCH_START
+    while k <= min(m.shape) / 4:
+        rep = _sketch_spectrum(m, k)
+        if rep is not None:
+            return rep
+        k *= 2
+    sv = np.linalg.svd(m, compute_uv=False)
+    return spectrum_report(np.where(sv > _ZERO_SV, sv, 0.0), m.shape)
 
 
 def components_for_threshold(report: SpectrumReport, frac: float) -> int:
@@ -205,24 +203,10 @@ def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
     return np.degrees(np.sort(np.arccos(cosines)))
 
 
-def sv_tail_stats(delta) -> SpectrumReport:
-    """Log-band singular-value statistics of a delta matrix.
-
-    Accepts any dense matrix, which goes through the same certified sketch
-    or full SVD as pca_explained (uncentered), or a LowRankDelta, which is
-    never densified:
-    with left = Q_l·R_l and rightᵀ = Q_r·R_r, the singular values of
-    scale·left·right are those of the r×r core scale·R_l·R_rᵀ (Halko,
-    Martinsson, Tropp 2011), padded with zeros to min(shape).
-    """
-    if isinstance(delta, LowRankDelta):
-        r_l = np.linalg.qr(delta.left, mode="r")
-        r_r = np.linalg.qr(delta.right.T, mode="r")
-        sv = np.zeros(min(delta.shape))
-        sv[: delta.rank] = np.linalg.svd(delta.scale * (r_l @ r_r.T), compute_uv=False)
-        rep = spectrum_report(sv, delta.shape)
-    else:
-        rep = _dense_spectrum(as_matrix(delta))
+def sv_tail_stats(delta: np.ndarray) -> SpectrumReport:
+    """Log-band singular-value statistics of a dense delta matrix: the
+    uncentered pca_explained spectrum (certified sketch or full SVD)."""
+    rep = pca_explained(delta, center=False)
     if np.all(rep.singular_values <= _ZERO_SV):
         raise ConfigError("degenerate (all-zero) matrix")
     return rep

@@ -1,7 +1,8 @@
-"""Numeric containers, deterministic random streams, and binary file formats.
+"""Vector and matrix validation, deterministic random streams, binary file formats.
 
-Parameter vectors and dense matrices are plain float64 numpy arrays; the
-helpers here validate them and move them to/from one binary container:
+Parameter vectors (expert deltas included) and dense matrices are plain
+float64 numpy arrays; the helpers here validate them and move them
+to/from one binary container:
 
     magic | u32 version (=1) | one u64 per axis | row-major float64 (LE)
 
@@ -51,42 +52,6 @@ def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.nd
     if not np.all(np.isfinite(m)):
         raise NumericError("matrix contains non-finite entries")
     return m
-
-
-@dataclass(frozen=True)
-class LowRankDelta:
-    """Factored expert increment: delta = scale * left @ right.
-
-    left is (d_out, r), right is (r, d_in), with r <= min(d_out, d_in).
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    scale: float = 1.0
-
-    def __post_init__(self):
-        left = as_matrix(self.left)
-        right = as_matrix(self.right)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        if left.shape[1] != right.shape[0]:
-            raise ConfigError(
-                f"inner dimensions disagree: left is {left.shape}, right is {right.shape}"
-            )
-        r = left.shape[1]
-        if r > min(left.shape[0], right.shape[1]):
-            raise ConfigError(f"rank {r} exceeds min(d_out, d_in)")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.left.shape[0], self.right.shape[1])
-
-    @property
-    def rank(self) -> int:
-        return self.left.shape[1]
-
-    def dense(self) -> np.ndarray:
-        return self.scale * (self.left @ self.right)
 
 
 @dataclass(frozen=True)

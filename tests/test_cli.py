@@ -13,7 +13,7 @@ import pytest
 import mergelimits
 from mergelimits import geometry
 from mergelimits.cli import build_parser, main
-from mergelimits.experiments import MAX_SIZE, ExperimentConfig, Report
+from mergelimits.experiments import MAX_SIZE, ExperimentConfig, Report, gen_experts
 from mergelimits.tensorio import read_pvec, write_matrix, write_pvec
 
 
@@ -57,6 +57,25 @@ class TestGenExperts:
         out = tmp_path / "lr"
         assert run(["gen-experts", "--config", small_config, "--low-rank", "--out", out]) == 0
         assert read_pvec(out / "expert_000.mmpv").size == 64
+
+    def test_low_rank_files_are_library_experts(self, tmp_path):
+        cfg = ExperimentConfig(seed=4, dimension=144, n_experts=3, rank=3, sigma2=2.0, rho=0.2)
+        path = tmp_path / "config.json"
+        path.write_text(cfg.to_json())
+        out = tmp_path / "lr"
+        assert run(["gen-experts", "--config", path, "--low-rank", "--out", out]) == 0
+        for i, e in enumerate(gen_experts(cfg, low_rank=True)):
+            written = read_pvec(out / f"expert_{i:03d}.mmpv")
+            assert written.tobytes() == e.tobytes()
+            assert np.linalg.matrix_rank(written.reshape(12, 12)) == 3
+
+    def test_low_rank_overflow_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"dimension": 16, "n_experts": 2, "rank": 2, "sigma2": 1e308}))
+        out = tmp_path / "lr"
+        assert run(["gen-experts", "--config", path, "--low-rank", "--out", out]) == 3
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override_changes_output(self, tmp_path, small_config):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -332,6 +351,14 @@ class TestSubspace:
         write_matrix(np.zeros((3, 0)), p)
         assert run(["subspace", p, "--out", tmp_path / "sub", *flags]) == 2
         assert "zero columns" in capsys.readouterr().err
+        assert not (tmp_path / "sub" / "subspace.csv").exists()
+
+
+    def test_overflowing_singular_values_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "huge.mmmx"
+        write_matrix(1e160 * np.random.default_rng(4).normal(size=(6, 9)), p)
+        assert run(["subspace", p, "--out", tmp_path / "sub"]) == 3
+        assert "overflows" in capsys.readouterr().err
         assert not (tmp_path / "sub" / "subspace.csv").exists()
 
 

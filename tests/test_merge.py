@@ -16,27 +16,7 @@ from mergelimits.merge import (
     termination_check,
     variance_limit,
 )
-from mergelimits.tensorio import LowRankDelta, RngStream
-
-
-class TestMaterializeDelta:
-    """A LowRankDelta flattened row-major, as gen-experts --low-rank writes it."""
-
-    def test_hand_product(self):
-        d = LowRankDelta(np.array([[1.0], [0.0]]), np.array([[2.0, 3.0]]))
-        assert d.dense().reshape(-1).tolist() == [2.0, 3.0, 0.0, 0.0]
-
-    def test_zero_scale(self):
-        d = LowRankDelta(np.ones((3, 2)), np.ones((2, 3)), scale=0.0)
-        assert np.array_equal(d.dense().reshape(-1), np.zeros(9))
-
-    def test_dense_product_oracle(self):
-        gen = RngStream(3, 0).generator()
-        left = gen.normal(size=(8, 2))
-        right = gen.normal(size=(2, 8))
-        d = LowRankDelta(left, right, scale=1.7)
-        brute = (1.7 * left @ right).reshape(-1)
-        assert np.max(np.abs(d.dense().reshape(-1) - brute)) < 1e-12
+from mergelimits.tensorio import RngStream
 
 
 class TestMergeLinear:
@@ -75,7 +55,7 @@ class TestMergedVariance:
     def test_two_experts_against_mc(self):
         # Oracle: empirical variance of the weighted sum of 1e6 correlated pairs.
         rho = 0.5
-        spec = CorrelationSpec.equicorrelated(1.0, rho, 2)
+        spec = CorrelationSpec(np.ones(2), np.array([[1.0, rho], [rho, 1.0]]))
         w = MergeWeights(np.array([0.5, 0.5]))
         analytic = merged_variance(spec, w)
         assert analytic == pytest.approx(0.75, abs=1e-12)
@@ -87,7 +67,7 @@ class TestMergedVariance:
         assert emp == pytest.approx(analytic, rel=0.01)
 
     def test_fully_correlated(self):
-        spec = CorrelationSpec.equicorrelated(1.0, 1.0, 4)
+        spec = CorrelationSpec(np.ones(4), np.ones((4, 4)))
         for alphas in ([0.25] * 4, [0.7, 0.1, 0.1, 0.1]):
             v = merged_variance(spec, MergeWeights(np.array(alphas)))
             assert v == pytest.approx(1.0, abs=1e-12)
@@ -112,7 +92,9 @@ class TestEquicorrelated:
         st.integers(1, 50),
     )
     def test_matches_general_formula(self, sigma2, rho, n):
-        spec = CorrelationSpec.equicorrelated(sigma2, rho, n)
+        r = np.full((n, n), rho)
+        np.fill_diagonal(r, 1.0)
+        spec = CorrelationSpec(np.full(n, math.sqrt(sigma2)), r)
         general = merged_variance(spec, MergeWeights.uniform(n))
         closed = merged_variance_equicorrelated(sigma2, rho, n)
         assert abs(general - closed) < 1e-12 * max(1.0, closed)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mergelimits.errors import ConfigError, FormatError
 from mergelimits.tensorio import (
-    LowRankDelta,
     RngStream,
     gaussian_sample,
     read_matrix,
@@ -188,16 +187,6 @@ def test_gaussian_sample_deterministic():
 def test_gaussian_sample_negative_std():
     with pytest.raises(ConfigError):
         gaussian_sample(RngStream(0, 0), 10, std=-1.0)
-
-
-def test_low_rank_delta_shapes():
-    d = LowRankDelta(np.array([[1.0], [0.0]]), np.array([[2.0, 3.0]]))
-    assert d.shape == (2, 2)
-    assert d.rank == 1
-    with pytest.raises(ConfigError):
-        LowRankDelta(np.ones((2, 2)), np.ones((3, 2)))
-    with pytest.raises(ConfigError):
-        LowRankDelta(np.ones((2, 3)), np.ones((3, 2)))  # rank > min dims
 
 
 def test_substreams_independent():
