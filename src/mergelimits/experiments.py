@@ -38,8 +38,9 @@ def _parse_json(text: str, what: str):
 @dataclass(frozen=True)
 class SpectrumDescriptor:
     """Hessian eigenvalue layout: uniform (all 1) or geometric with a set
-    condition number. Values are stored ascending so early merge steps
-    claim the high-curvature (large 1/lambda last) directions first."""
+    condition number. Values are stored ascending, so width and marginal-gain
+    prefixes claim the smallest-lambda (widest, lowest-curvature) directions
+    first."""
 
     kind: str = "uniform"
     condition_number: float = 100.0

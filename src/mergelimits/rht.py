@@ -4,7 +4,8 @@ Two-step transform: subtract an independent Gaussian, then amplify each
 component with the odd map T(x) = sign(x) |x|^gamma (1 + alpha e^{-beta|x|}).
 Includes the exact change-of-variables density for the pure-power case
 (alpha = 0), tail diagnostics (excess kurtosis and Hill exponent), and an
-output-dispersion coverage proxy on a tiny reference network.
+output-dispersion coverage proxy on a fixed reference network: the 2-8-1
+tanh MLP over an 8 x 8 grid of the unit square, 33 parameters.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, require_real
-from .tensorio import RngStream, as_matrix, as_pvec, gaussian_sample
+from .tensorio import RngStream, as_matrix, as_pvec
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,16 @@ def _map_positive(x, gamma: float, alpha: float, beta: float):
 
 
 def gaussian_difference(w: np.ndarray, mu: float, sigma_g: float, stream: RngStream) -> np.ndarray:
-    """w - g with g ~ N(mu, sigma_g^2 I); centers w and widens its spread."""
+    """w - g with g ~ N(mu, sigma_g^2 I); centers w and widens its spread.
+
+    sigma_g = 0 is the plain shift w - mu and draws nothing from stream.
+    """
     w = as_pvec(w)
-    return w - gaussian_sample(stream, w.size, mu, sigma_g)
+    if sigma_g < 0:
+        raise ConfigError(f"sigma_g must be >= 0, got {sigma_g}")
+    if sigma_g == 0:
+        return w - float(mu)
+    return w - stream.generator().normal(mu, sigma_g, size=w.size)
 
 
 def rht_map(x, p: RHTParams):
@@ -137,80 +145,49 @@ class TailReport:
     hill_stderr: float
 
 
-def hill_estimator(samples: np.ndarray, tail_fraction: float) -> tuple[float, float]:
-    """Hill tail-exponent estimate over the top tail_fraction of |samples|."""
-    x = np.sort(np.abs(np.asarray(samples, dtype=np.float64)))
-    k = int(math.floor(tail_fraction * x.size))
-    if k < 10:
-        raise ConfigError(f"too few tail points ({k}); need at least 10")
-    top = x[-k:]
-    threshold = x[-k - 1] if x.size > k else top[0]
-    if threshold <= 0:
-        raise ConfigError("tail threshold is not positive")
-    logs = np.log(top / threshold)
-    mean_log = float(logs.mean())
-    if mean_log <= 0:
-        raise NumericError("degenerate tail: all top order statistics equal")
-    hill = 1.0 / mean_log
-    return hill, hill / math.sqrt(k)
-
-
-def tail_diagnostics(samples: np.ndarray, tail_fraction: float = 0.05) -> TailReport:
-    """Excess kurtosis and Hill exponent with its stderr."""
+def tail_diagnostics(samples: np.ndarray) -> TailReport:
+    """Excess kurtosis, and the Hill tail exponent with its stderr over the
+    top 5 % of |samples| (k >= 500 of them behind the 10^4-sample floor)."""
     from scipy import stats
     x = as_pvec(samples)
     if x.size < 10_000:
         raise ConfigError(f"need >= 10^4 samples, got {x.size}")
-    if not 0 < tail_fraction <= 0.2:
-        raise ConfigError(f"tail_fraction must be in (0, 0.2], got {tail_fraction}")
+    mag = np.sort(np.abs(x))
+    k = int(0.05 * mag.size)
+    threshold = mag[-k - 1]
+    if threshold <= 0:
+        raise ConfigError("tail threshold is not positive")
+    mean_log = float(np.log(mag[-k:] / threshold).mean())
+    if mean_log <= 0:
+        raise NumericError("degenerate tail: all top order statistics equal")
+    hill = 1.0 / mean_log
+    # After the tail checks, so a constant input is a NumericError, not a
+    # moment-cancellation warning from scipy.
     kurt = float(stats.kurtosis(x, fisher=True))
-    hill, hill_se = hill_estimator(x, tail_fraction)
-    return TailReport(kurt, hill, hill_se)
+    return TailReport(kurt, hill, hill / math.sqrt(k))
 
 
-@dataclass(frozen=True)
 class TinyNetSpec:
-    """Small tanh MLP plus a fixed input grid in the unit square."""
+    """The fixed 2-8-1 tanh MLP and its 8 x 8 input grid in the unit square.
 
-    widths: tuple[int, ...] = (2, 8, 1)
-    grid_side: int = 8
+    A parameter vector is the 2 x 8 hidden weights (row-major), the 8 hidden
+    biases, the 8 output weights and the output bias: 33 numbers.
+    """
 
-    def __post_init__(self):
-        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
-            raise ConfigError(f"bad layer widths {self.widths}")
-        if self.grid_side < 1:
-            raise ConfigError("grid must be non-empty")
-        if self.widths[0] != 2:
-            raise ConfigError("input width must be 2 (points of the unit square)")
-
-    @property
-    def param_count(self) -> int:
-        return sum(
-            self.widths[i] * self.widths[i + 1] + self.widths[i + 1]
-            for i in range(len(self.widths) - 1)
-        )
+    param_count = 33
 
     def grid(self) -> np.ndarray:
-        side = np.linspace(0.0, 1.0, self.grid_side)
+        side = np.linspace(0.0, 1.0, 8)
         xx, yy = np.meshgrid(side, side, indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     def forward(self, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """Outputs for each row of an (n, param_count) stack, shape
-        (n, n_inputs). A stacked matmul runs each row's own 2-D product, so a
-        row's outputs equal those of that vector alone."""
+        """Outputs for each row of an (n, 33) stack, shape (n, n_inputs). A
+        stacked matmul runs each row's own 2-D product, so a row's outputs
+        equal those of that vector alone."""
         p = as_matrix(params, cols=self.param_count)
-        h, pos = inputs, 0
-        for i in range(len(self.widths) - 1):
-            n_in, n_out = self.widths[i], self.widths[i + 1]
-            w = p[:, pos : pos + n_in * n_out].reshape(-1, n_in, n_out)
-            pos += n_in * n_out
-            b = p[:, None, pos : pos + n_out]
-            pos += n_out
-            h = h @ w + b
-            if i < len(self.widths) - 2:
-                h = np.tanh(h)
-        return h[:, :, 0]
+        h = np.tanh(inputs @ p[:, :16].reshape(-1, 2, 8) + p[:, None, 16:24])
+        return (h @ p[:, 24:32].reshape(-1, 8, 1) + p[:, None, 32:])[:, :, 0]
 
 
 def coverage_proxy(

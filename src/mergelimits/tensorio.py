@@ -81,17 +81,6 @@ class RngStream:
         return RngStream(self.seed, (self.stream_id + 1 + offset) % 2**64)
 
 
-def gaussian_sample(stream: RngStream, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-    """n i.i.d. normal draws, deterministic for a fixed stream."""
-    if std < 0:
-        raise ConfigError(f"std must be >= 0, got {std}")
-    if n < 0:
-        raise ConfigError(f"n must be >= 0, got {n}")
-    if std == 0:
-        return np.full(n, float(mean))
-    return stream.generator().normal(mean, std, size=n)
-
-
 def _read_exact(f, n: int, offset: int, what: str) -> bytes:
     buf = f.read(n)
     if len(buf) != n:

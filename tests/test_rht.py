@@ -13,7 +13,6 @@ from mergelimits.rht import (
     apply_rht,
     coverage_proxy,
     gaussian_difference,
-    hill_estimator,
     rht_cdf,
     rht_density,
     rht_inverse,
@@ -107,6 +106,10 @@ class TestGaussianDifference:
         out = gaussian_difference(w, 2.0, 0.0, RngStream(51, 0))
         assert np.array_equal(out, w - 2.0)
 
+    def test_zero_spread_draw_is_degenerate(self):
+        out = gaussian_difference(np.zeros(5), 3.0, 0.0, RngStream(0, 0))
+        assert np.array_equal(out, np.full(5, -3.0))
+
     def test_variance_additivity(self):
         w = RngStream(51, 1).generator().normal(size=10**6)
         out = gaussian_difference(w, 0.0, 0.5, RngStream(51, 2))
@@ -120,6 +123,24 @@ class TestGaussianDifference:
         assert not np.array_equal(a, b)
         stderr = math.sqrt(2.0 / a.size) * 2.0  # var of each is 2
         assert abs(a.var() - b.var()) < 3 * math.sqrt(2) * stderr
+
+    def test_subtracted_draw_moments(self):
+        n = 10**6
+        g = -gaussian_difference(np.zeros(n), 0.0, 1.0, RngStream(1, 0))
+        assert abs(g.mean()) < 4 / np.sqrt(n)
+        assert abs(g.std() - 1.0) < 0.01
+
+    def test_deterministic_per_stream(self):
+        w = np.zeros(1000)
+        a = gaussian_difference(w, 0.0, 1.0, RngStream(42, 3))
+        b = gaussian_difference(w, 0.0, 1.0, RngStream(42, 3))
+        assert np.array_equal(a, b)
+        c = gaussian_difference(w, 0.0, 1.0, RngStream(42, 4))
+        assert not np.array_equal(a, c)
+
+    def test_negative_spread_rejected(self):
+        with pytest.raises(ConfigError):
+            gaussian_difference(np.zeros(10), 0.0, -1.0, RngStream(0, 0))
 
 
 class TestApply:
@@ -186,7 +207,7 @@ class TestTailDiagnostics:
         # Inverse-CDF Pareto with known tail exponent 2.
         u = RngStream(54, 1).generator().random(size=10**6)
         x = u ** (-1.0 / 2.0)
-        rep = tail_diagnostics(x, tail_fraction=0.05)
+        rep = tail_diagnostics(x)
         assert rep.hill_exponent == pytest.approx(2.0, abs=0.1)
 
     def test_rht_output_reported_not_asserted(self):
@@ -202,28 +223,24 @@ class TestTailDiagnostics:
         with pytest.raises(ConfigError):
             tail_diagnostics(np.ones(100))
 
-    def test_bad_tail_fraction(self):
-        x = RngStream(54, 4).generator().normal(size=20_000)
-        with pytest.raises(ConfigError):
-            tail_diagnostics(x, tail_fraction=0.5)
+    def test_constant_input_is_degenerate(self):
+        # Every top order statistic equals the threshold: log ratios are all 0.
+        with pytest.raises(NumericError, match="degenerate tail"):
+            tail_diagnostics(np.full(10_000, 2.5))
 
-    def test_hill_needs_tail_points(self):
-        with pytest.raises(ConfigError):
-            hill_estimator(np.ones(50), 0.05)
+    @pytest.mark.parametrize("zeros", [9_500, 9_999])
+    def test_mostly_zero_input_has_no_positive_threshold(self, zeros):
+        # With >= 95 % zeros the order statistic below the top 5 % is 0.
+        x = np.zeros(10_000)
+        x[zeros:] = RngStream(54, 5).generator().normal(size=10_000 - zeros)
+        with pytest.raises(ConfigError, match="tail threshold"):
+            tail_diagnostics(x)
 
 
-def reference_forward(net, params, inputs):
-    """One parameter vector through the network, one 2-D matmul per layer."""
-    h, pos = inputs, 0
-    for i in range(len(net.widths) - 1):
-        n_in, n_out = net.widths[i], net.widths[i + 1]
-        w = params[pos : pos + n_in * n_out].reshape(n_in, n_out)
-        pos += n_in * n_out
-        h = h @ w + params[pos : pos + n_out]
-        pos += n_out
-        if i < len(net.widths) - 2:
-            h = np.tanh(h)
-    return h[:, 0]
+def reference_forward(params, inputs):
+    """One parameter vector through the 2-8-1 network, one 2-D matmul per layer."""
+    h = np.tanh(inputs @ params[:16].reshape(2, 8) + params[16:24])
+    return (h @ params[24:32].reshape(8, 1) + params[32:])[:, 0]
 
 
 def reference_coverage(net, sampler, n_samples, stream):
@@ -235,7 +252,7 @@ def reference_coverage(net, sampler, n_samples, stream):
             draws.reshape(-1), 0.0, p.sigma_g_ratio * float(draws.std()), stream.substream(0)
         )
         draws = rht_map(flat, p).reshape(n_samples, net.param_count)
-    outputs = np.stack([reference_forward(net, d, net.grid()) for d in draws])
+    outputs = np.stack([reference_forward(d, net.grid()) for d in draws])
     return (
         float(outputs.var(axis=0).mean()),
         float((outputs.max(axis=0) - outputs.min(axis=0)).mean()),
@@ -243,12 +260,11 @@ def reference_coverage(net, sampler, n_samples, stream):
 
 
 class TestForward:
-    @pytest.mark.parametrize("widths", [(2, 8, 1), (2, 16, 8, 3), (2, 1)])
-    def test_stack_equals_per_vector_reference(self, widths):
-        net = TinyNetSpec(widths=widths)
+    def test_stack_equals_per_vector_reference(self):
+        net = TinyNetSpec()
         grid = net.grid()
-        draws = 3.0 * RngStream(56, len(widths)).generator().normal(size=(300, net.param_count))
-        ref = np.stack([reference_forward(net, d, grid) for d in draws])
+        draws = 3.0 * RngStream(56, 3).generator().normal(size=(300, net.param_count))
+        ref = np.stack([reference_forward(d, grid) for d in draws])
         assert np.array_equal(net.forward(draws, grid), ref)
         # A row alone gives the same outputs as within the stack.
         assert all(np.array_equal(net.forward(draws[i : i + 1], grid)[0], ref[i]) for i in range(20))
@@ -305,7 +321,7 @@ class TestCoverageProxy:
     def test_invariant_to_sample_order(self):
         # The proxy is a mean of per-input variances; permuting parameter
         # samples cannot change it. Exercise via the forward pass directly.
-        net = TinyNetSpec(grid_side=4)
+        net = TinyNetSpec()
         gen = RngStream(55, 4).generator()
         draws = gen.normal(size=(200, net.param_count))
         grid = net.grid()
@@ -315,4 +331,10 @@ class TestCoverageProxy:
         )
 
     def test_param_count(self):
-        assert TinyNetSpec(widths=(2, 8, 1)).param_count == 2 * 8 + 8 + 8 * 1 + 1
+        assert TinyNetSpec().param_count == 2 * 8 + 8 + 8 * 1 + 1
+
+    def test_grid_is_8_by_8_unit_square(self):
+        grid = TinyNetSpec().grid()
+        assert grid.shape == (64, 2)
+        assert grid.min() == 0.0 and grid.max() == 1.0
+        assert len(np.unique(grid[:, 0])) == len(np.unique(grid[:, 1])) == 8

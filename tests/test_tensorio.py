@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mergelimits.errors import ConfigError, FormatError
+from mergelimits.errors import FormatError
 from mergelimits.tensorio import (
     RngStream,
-    gaussian_sample,
     read_matrix,
     read_pvec,
     write_matrix,
@@ -36,13 +35,13 @@ def test_pvec_roundtrip_two_values(tmp_path):
 
 
 def test_pvec_roundtrip_large_seeded(tmp_path):
-    v = gaussian_sample(RngStream(7, 0), 10**6)
+    v = RngStream(7, 0).generator().normal(size=10**6)
     path = tmp_path / "big.mmpv"
     write_pvec(v, path)
     assert read_pvec(path).tobytes() == v.tobytes()
     # Same stream regenerated -> identical file checksum.
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    write_pvec(gaussian_sample(RngStream(7, 0), 10**6), path)
+    write_pvec(RngStream(7, 0).generator().normal(size=10**6), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
@@ -162,31 +161,6 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError):
         read_pvec(path)
-
-
-def test_gaussian_sample_degenerate():
-    v = gaussian_sample(RngStream(0, 0), 5, mean=3.0, std=0.0)
-    assert np.array_equal(v, np.full(5, 3.0))
-
-
-def test_gaussian_sample_moments():
-    n = 10**6
-    v = gaussian_sample(RngStream(1, 0), n)
-    assert abs(v.mean()) < 4 / np.sqrt(n)
-    assert abs(v.std() - 1.0) < 0.01
-
-
-def test_gaussian_sample_deterministic():
-    a = gaussian_sample(RngStream(42, 3), 1000)
-    b = gaussian_sample(RngStream(42, 3), 1000)
-    assert np.array_equal(a, b)
-    c = gaussian_sample(RngStream(42, 4), 1000)
-    assert not np.array_equal(a, c)
-
-
-def test_gaussian_sample_negative_std():
-    with pytest.raises(ConfigError):
-        gaussian_sample(RngStream(0, 0), 10, std=-1.0)
 
 
 def test_substreams_independent():
