@@ -3,13 +3,15 @@
 Subcommands: gen-experts, merge, rht, width, kinematics, saturate,
 rht-study, subspace, report. Each subcommand takes only the flags it
 reads. Exit codes: 0 success, 2 config error, 3 numeric error, 4 I/O or
-format error.
+format error. main can be called repeatedly in one process; it builds its
+parser once, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -231,9 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing keeps no state in the parser: each call gets a fresh namespace.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except ConfigError as e:

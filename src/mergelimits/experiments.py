@@ -189,8 +189,8 @@ def emit_report(report: Report, fmt: str, path) -> None:
         f.write(payload)
 
 
-def gen_experts(cfg: ExperimentConfig, low_rank: bool = False):
-    """n equicorrelated expert deltas, each a float64 vector of length D.
+def gen_experts(cfg: ExperimentConfig, low_rank: bool = False) -> np.ndarray:
+    """n equicorrelated expert deltas, the rows of an (n, D) float64 array.
 
     With low_rank, each delta, read as a √D × √D matrix m, is overwritten
     in place by its projection onto its top-r left singular vectors,
@@ -208,10 +208,15 @@ def gen_experts(cfg: ExperimentConfig, low_rank: bool = False):
     d, n = cfg.dimension, cfg.n_experts
     require_size(n, d, "n_experts x dimension")
     z0 = gen.normal(size=d)
-    zs = gen.normal(size=(n, d))
-    experts = sigma * (math.sqrt(cfg.rho) * z0 + math.sqrt(1.0 - cfg.rho) * zs)
+    experts = gen.normal(size=(n, d))
+    # sigma (sqrt(rho) z0 + sqrt(1 - rho) z_i), combined in place: IEEE + and
+    # * commute, so these are the bits of that expression with no n x D
+    # temporaries.
+    experts *= math.sqrt(1.0 - cfg.rho)
+    experts += math.sqrt(cfg.rho) * z0
+    experts *= sigma
     if not low_rank:
-        return list(experts)
+        return experts
 
     d_out = int(round(math.sqrt(d)))
     if d_out * d_out != d:
@@ -233,7 +238,7 @@ def gen_experts(cfg: ExperimentConfig, low_rank: bool = False):
         kept = math.sqrt(float(np.sum(np.maximum(w, 0.0))))
         scale = math.sqrt(total) / kept if kept > 0 else 1.0
         experts[i] = blas.dgemm(scale, left, right).reshape(-1)
-    return list(experts)
+    return experts
 
 
 def gen_quadratic_task(cfg: ExperimentConfig) -> geometry.QuadraticTask:
@@ -261,9 +266,12 @@ _SATURATION_COLUMNS = [
 def run_saturation(cfg: ExperimentConfig) -> Report:
     """Merge 1..N experts uniformly and record the saturation trajectory.
 
-    Analytic columns come straight from the variance law and Jensen width;
-    var_mc is the empirical per-coordinate variance of the merged vector.
-    Expected loss uses E[L] = 0.5 * var_per_coord * Tr(H).
+    The experts are drawn once as an (N, D) stack; the n-expert merge is
+    one merge_linear call on the row prefix experts[:n], a view, so the
+    sweep copies no expert. Analytic columns come straight from the
+    variance law and Jensen width; var_mc is the empirical per-coordinate
+    variance of the merged vector. Expected loss uses
+    E[L] = 0.5 * var_per_coord * Tr(H).
     """
     experts = gen_experts(cfg)
     task = gen_quadratic_task(cfg)

@@ -48,6 +48,7 @@ class QuadraticTask:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
         if q is not None and np.max(np.abs(q.T @ q - np.eye(d))) > 1e-8:
             raise ConfigError("basis columns are not orthonormal")
+        self.radii = np.sqrt(2.0 * self.epsilon / self.eigenvalues)
 
     def _fixed_basis(self) -> np.ndarray:
         if self.basis is None:
@@ -57,10 +58,6 @@ class QuadraticTask:
     @property
     def dim(self) -> int:
         return self.theta_star.size
-
-    @property
-    def radii(self) -> np.ndarray:
-        return np.sqrt(2.0 * self.epsilon / self.eigenvalues)
 
     def loss(self, theta: np.ndarray) -> float:
         z = self._fixed_basis().T @ (as_pvec(theta, self.dim) - self.theta_star)

@@ -72,14 +72,20 @@ class CorrelationSpec:
             raise ConfigError("rho is not positive semidefinite")
 
 
-def merge_linear(experts: Sequence[np.ndarray], w: MergeWeights) -> np.ndarray:
-    """Componentwise convex combination sum_i alpha_i * theta_i."""
-    if len(experts) != len(w):
-        raise ConfigError(f"{len(experts)} experts but {len(w)} weights")
-    vecs = [as_pvec(e) for e in experts]
-    if len({v.size for v in vecs}) != 1:
-        raise ConfigError("experts must share one dimension")
-    return w.alphas @ np.stack(vecs)
+def merge_linear(experts, w: MergeWeights) -> np.ndarray:
+    """Componentwise convex combination sum_i alpha_i * theta_i.
+
+    experts is an (n, D) stack, one expert per row, or a sequence of n
+    length-D vectors, validated once as a matrix. A float64 stack, or a
+    row prefix of one, is merged by one gemv without a copy.
+    """
+    try:
+        stack = as_matrix(experts)
+    except ValueError as e:  # vectors of unequal length stack to no array
+        raise ConfigError("experts must share one dimension") from e
+    if stack.shape[0] != len(w):
+        raise ConfigError(f"{stack.shape[0]} experts but {len(w)} weights")
+    return w.alphas @ stack
 
 
 def merged_variance(spec: CorrelationSpec, w: MergeWeights) -> float:

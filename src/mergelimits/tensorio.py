@@ -120,11 +120,16 @@ def _read(path, magic: bytes, ndim: int) -> np.ndarray:
             )
         if size > header + payload:
             raise FormatError("trailing bytes after payload", header + payload)
-        data = _read_exact(f, payload, header, "payload")
-    try:
-        return np.frombuffer(data, dtype="<f8").astype(np.float64, copy=True).reshape(shape)
-    except ValueError as e:  # an empty payload under a side numpy cannot index
-        raise FormatError(f"unsupported {name} shape {shape}: {e}", 8) from e
+        try:
+            a = np.empty(shape, dtype="<f8")
+        except ValueError as e:  # an empty payload under a side numpy cannot index
+            raise FormatError(f"unsupported {name} shape {shape}: {e}", 8) from e
+        # The payload goes straight into the array: no bytes copy of it is
+        # made, so reading holds one payload-sized buffer, not two.
+        got = f.readinto(a)
+        if got != payload:
+            raise FormatError("truncated file while reading payload", header + got)
+    return a.astype(np.float64, copy=False)
 
 
 def write_pvec(v: np.ndarray, path) -> None:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mergelimits
-from mergelimits import geometry
+from mergelimits import cli, geometry
 from mergelimits.cli import build_parser, main
 from mergelimits.experiments import MAX_SIZE, ExperimentConfig, Report, gen_experts
 from mergelimits.tensorio import read_pvec, write_matrix, write_pvec
@@ -502,3 +502,55 @@ class TestFlags:
     def test_kinematics_seed_defaults_to_zero(self):
         parser, _ = _subcommands()
         assert parser.parse_args(["kinematics"]).seed == 0
+
+
+class TestRepeatedMain:
+    """main shares one parser across calls; no call may see another's flags."""
+
+    def test_k_max_does_not_carry_over(self, tmp_path):
+        common = ["kinematics", "--dim", 12, "--subspace-dim", 4, "--trials", 200, "--format", "json"]
+        assert run([*common, "--k-max", 10, "--out", tmp_path / "a"]) == 0
+        assert run([*common, "--out", tmp_path / "b"]) == 0
+        first = Report.from_json((tmp_path / "a" / "kinematics.json").read_text())
+        second = Report.from_json((tmp_path / "b" / "kinematics.json").read_text())
+        assert [r[0] for r in first.rows] == list(range(1, 11))
+        assert [r[0] for r in second.rows] == list(range(1, 13))
+
+    def test_low_rank_does_not_carry_over(self, tmp_path):
+        cfg = ExperimentConfig(seed=4, dimension=144, n_experts=2, rank=3)
+        path = tmp_path / "config.json"
+        path.write_text(cfg.to_json())
+        assert run(["gen-experts", "--config", path, "--low-rank", "--out", tmp_path / "lr"]) == 0
+        assert run(["gen-experts", "--config", path, "--out", tmp_path / "dense"]) == 0
+        for i, e in enumerate(gen_experts(cfg)):
+            written = read_pvec(tmp_path / "dense" / f"expert_{i:03d}.mmpv")
+            assert written.tobytes() == e.tobytes()
+            assert np.linalg.matrix_rank(written.reshape(12, 12)) == 12
+
+    def test_valid_call_after_usage_error(self, tmp_path, small_config, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["saturate", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert run(["saturate", "--config", small_config, "--out", tmp_path]) == 0
+        assert (tmp_path / "saturation.csv").exists()
+
+    def test_parser_built_once(self, tmp_path, small_config, monkeypatch):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            assert run(["saturate", "--config", small_config, "--out", tmp_path / "s"]) == 0
+            assert run(["gen-experts", "--config", small_config, "--out", tmp_path / "e"]) == 0
+            assert run(["kinematics", "--dim", 8, "--subspace-dim", 2, "--trials", 200,
+                        "--out", tmp_path / "k"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()

@@ -139,6 +139,23 @@ class TestGenExperts:
             assert np.linalg.norm(dense) == pytest.approx(np.linalg.norm(m), rel=1e-12)
             assert np.linalg.matrix_rank(dense) == rank
 
+    @pytest.mark.parametrize(
+        "seed, dim, n, sigma2, rho",
+        [(0, 1, 1, 1.0, 0.5), (1, 50, 12, 0.7, 0.0), (2, 500, 10, 2.5, 1.0),
+         (3, 3000, 7, 1.0, 0.5), (4, 64, 200, 1e-3, 0.999), (5, 4096, 3, 9.0, 0.01)],
+    )
+    def test_equals_the_shared_factor_expression(self, seed, dim, n, sigma2, rho):
+        # The stack is combined in place; it must hold the bits of the
+        # expression sigma (sqrt(rho) z0 + sqrt(1 - rho) zs).
+        cfg = ExperimentConfig(seed=seed, dimension=dim, n_experts=n, sigma2=sigma2, rho=rho)
+        gen = RngStream(seed, 1).generator()
+        z0 = gen.normal(size=dim)
+        zs = gen.normal(size=(n, dim))
+        ref = math.sqrt(sigma2) * (math.sqrt(rho) * z0 + math.sqrt(1.0 - rho) * zs)
+        experts = gen_experts(cfg)
+        assert experts.shape == (n, dim) and experts.dtype == np.float64
+        assert experts.tobytes() == ref.tobytes()
+
     def test_low_rank_needs_square_dim(self):
         with pytest.raises(ConfigError):
             gen_experts(ExperimentConfig(dimension=10), low_rank=True)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mergelimits.errors import ConfigError
+from mergelimits.errors import ConfigError, NumericError
 from mergelimits.merge import (
     CorrelationSpec,
     MergeWeights,
@@ -37,8 +37,33 @@ class TestMergeLinear:
         assert out.tolist() == [0.25, 0.75]
 
     def test_dim_mismatch(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="experts must share one dimension"):
             merge_linear([np.ones(2), np.ones(3)], MergeWeights.uniform(2))
+
+    def test_stack_and_row_list_agree_bitwise_on_every_prefix(self):
+        stack = RngStream(3, 0).generator().normal(size=(12, 257))
+        for n in range(1, stack.shape[0] + 1):
+            w = MergeWeights.uniform(n)
+            from_stack = merge_linear(stack[:n], w)
+            from_rows = merge_linear(list(stack[:n]), w)
+            assert from_stack.tobytes() == from_rows.tobytes()
+
+    @pytest.mark.parametrize("n_experts", [2, 4])
+    def test_expert_count_must_match_weights(self, n_experts):
+        with pytest.raises(ConfigError, match=f"{n_experts} experts but 3 weights"):
+            merge_linear(np.ones((n_experts, 5)), MergeWeights.uniform(3))
+
+    def test_three_dimensional_input(self):
+        with pytest.raises(ConfigError, match="2-D"):
+            merge_linear(np.ones((2, 3, 4)), MergeWeights.uniform(2))
+
+    def test_non_finite_expert(self):
+        stack = np.ones((3, 4))
+        stack[1, 2] = np.nan
+        with pytest.raises(NumericError):
+            merge_linear(stack, MergeWeights.uniform(3))
+        with pytest.raises(NumericError):
+            merge_linear(list(stack), MergeWeights.uniform(3))
 
     def test_invalid_weights(self):
         with pytest.raises(ConfigError):

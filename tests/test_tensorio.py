@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,25 @@ def test_matrix_roundtrips(tmp_path):
     g = RngStream(11, 0).generator().normal(size=(200, 16))
     write_matrix(g, path)
     assert read_matrix(path).tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("reader, writer, shape", [(read_pvec, write_pvec, (120_000,)),
+                                                   (read_matrix, write_matrix, (300, 400))])
+def test_read_holds_one_payload_buffer(tmp_path, reader, writer, shape):
+    # The payload is read into the returned array, not first into a bytes
+    # object, so the traced peak stays near one payload (a copy would be 2x).
+    path = tmp_path / "big.bin"
+    a = RngStream(3, 0).generator().normal(size=shape)
+    writer(a, path)
+    tracemalloc.start()
+    try:
+        out = reader(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == a.tobytes()
+    assert out.flags.c_contiguous and out.flags.writeable and out.flags.owndata
+    assert peak < 1.25 * a.nbytes
 
 
 @settings(max_examples=30, deadline=None)
