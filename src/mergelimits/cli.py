@@ -76,7 +76,14 @@ def cmd_gen_experts(args) -> None:
 
 
 def cmd_merge(args) -> None:
-    experts = [tensorio.read_pvec(p) for p in args.experts]
+    # Each file goes into its row of one n x D stack, the only copy held.
+    first = tensorio.read_pvec(args.experts[0])
+    experts = np.empty((len(args.experts), first.size))
+    for i, path in enumerate(args.experts):
+        row = first if i == 0 else tensorio.read_pvec(path)
+        if row.shape != first.shape:
+            raise ConfigError("experts must share one dimension")
+        experts[i] = row
     if args.weights:
         try:
             alphas = np.array([float(x) for x in args.weights.split(",")])

@@ -25,12 +25,15 @@ from . import geometry, merge, rht
 from .errors import MAX_SIZE, ConfigError, NumericError, require_real, require_size
 from .tensorio import RngStream
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _parse_json(text: str, what: str):
+    def reject(token):  # NaN, Infinity or -Infinity
+        raise ConfigError(f"bad {what} JSON: {token} is not a finite number")
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=reject)
     except (json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(f"bad {what} JSON: {e}") from e
 
@@ -179,6 +182,11 @@ class Report:
 
 
 def emit_report(report: Report, fmt: str, path) -> None:
+    """Write report to path; a NaN or infinity in it is a NumericError, raised first."""
+    try:
+        json.dumps([report.rows, report.config, report.extra], allow_nan=False)
+    except ValueError as e:
+        raise NumericError(f"{report.kind} report holds a non-finite number (NaN or inf)") from e
     if fmt == "csv":
         payload = report.to_csv()
     elif fmt == "json":
@@ -242,8 +250,8 @@ def gen_experts(cfg: ExperimentConfig, low_rank: bool = False) -> np.ndarray:
 
 
 def gen_quadratic_task(cfg: ExperimentConfig) -> geometry.QuadraticTask:
-    """Quadratic task with the configured spectrum, no fixed basis (score it with
-    geometry.rotated_losses) and theta_star the first D normals of stream 2."""
+    """Quadratic task with the configured spectrum, no fixed basis (see
+    geometry.mean_rotated_losses) and theta_star the first D normals of stream 2."""
     d = cfg.dimension
     theta_star = RngStream(cfg.seed, 2).generator().normal(size=d)
     return geometry.QuadraticTask(theta_star, cfg.spectrum.eigenvalues(d), None, cfg.epsilon)
@@ -377,11 +385,11 @@ _RHT_STUDY_COLUMNS = ["n", "loss_baseline", "loss_rht", "var_baseline", "var_rht
 def run_rht_study(cfg: ExperimentConfig) -> Report:
     """Paired saturation curves, merged deltas as-is vs reparameterized.
 
-    All 2N vectors are scored in one geometry.rotated_losses call, under one
-    Haar orientation of the task (stream 6), so the branches stay paired;
-    the losses are exact in law, not those of one materialised basis. Also
-    emits the coverage-proxy pair (gaussian vs rht samplers at a shared
-    seed) and tail diagnostics of the last transformed delta.
+    Each loss is the exact mean over the task's Haar orientation (see
+    geometry.mean_rotated_losses), so loss_rht / loss_baseline is
+    |t - theta*|^2 / |m - theta*|^2. Also emits the orientation coefficient
+    of variation, the coverage-proxy pair (gaussian vs rht samplers at a
+    shared seed) and tail diagnostics of the last transformed delta.
     """
     experts = gen_experts(cfg)
     task = gen_quadratic_task(cfg)
@@ -390,7 +398,7 @@ def run_rht_study(cfg: ExperimentConfig) -> Report:
         merged.append(merge.merge_linear(experts[:n], merge.MergeWeights.uniform(n)))
         transformed.append(rht.apply_rht(merged[-1], cfg.rht_params, RngStream(cfg.seed, 100 + n)))
     offsets = np.stack(merged + transformed, axis=1) - task.theta_star[:, None]
-    losses = geometry.rotated_losses(task.eigenvalues, offsets, RngStream(cfg.seed, 6))
+    losses, cv = geometry.mean_rotated_losses(task.eigenvalues, offsets)
     rows = [
         [n, float(lb), float(lr), float(m.var()), float(t.var())]
         for n, (lb, lr, m, t) in enumerate(zip(*losses.reshape(2, -1), merged, transformed), 1)
@@ -409,6 +417,7 @@ def run_rht_study(cfg: ExperimentConfig) -> Report:
         "range_gaussian": range1,
         "range_rht": range2,
         "tail_diagnostics": diag,
+        "loss_orientation_cv": cv,
         "coverage_note": (
             "coverage proxy is output dispersion of a fixed tiny network over a grid, "
             "standing in for the function-space volume integral"

@@ -3,8 +3,8 @@
 Gaussian width of the ellipsoid {theta : (theta - theta*)^T H (theta -
 theta*) <= 2 eps} both in the Jensen closed form sqrt(2 eps sum 1/lambda_i)
 and by Monte Carlo, diminishing marginal gains, the statistical dimension of
-circular cones, the projected-width redundancy threshold, and the kinematic
-phase transition between a cone or subspace and a Haar-rotated subspace.
+circular cones, the projected-width redundancy threshold, the Haar-averaged
+loss, and the kinematic transition of a cone or subspace vs a Haar subspace.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class QuadraticTask:
     (max |Q^T Q - I| <= 1e-8), or None for a task whose orientation is left
     Haar-random. Widths, marginal gains and the redundancy check are
     basis-invariant and never read it. loss and sample_sublevel need a fixed
-    basis; under a Haar orientation, score vectors with rotated_losses.
+    basis; mean_rotated_losses averages the loss over a Haar orientation.
     """
 
     def __init__(self, theta_star, eigenvalues, basis, epsilon):
@@ -52,7 +52,7 @@ class QuadraticTask:
 
     def _fixed_basis(self) -> np.ndarray:
         if self.basis is None:
-            raise ConfigError("task has no fixed basis; score it with geometry.rotated_losses")
+            raise ConfigError("task has no fixed basis; see geometry.mean_rotated_losses")
         return self.basis
 
     @property
@@ -165,27 +165,26 @@ def statdim_cone_mc(cone: CircularCone, dim: int, samples: int, stream: RngStrea
     return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(samples))
 
 
-def _haar_frame(rows: int, cols: int, gen: np.random.Generator) -> np.ndarray:
-    """Haar rows x cols orthonormal frame: sign-corrected QR (arXiv:math-ph/0609050)."""
-    q, r = np.linalg.qr(gen.normal(size=(rows, cols)))
+def haar_orthogonal(dim: int, gen: np.random.Generator) -> np.ndarray:
+    """Haar-distributed orthogonal matrix: sign-corrected QR (arXiv:math-ph/0609050)."""
+    q, r = np.linalg.qr(gen.normal(size=(dim, dim)))
     return q * np.sign(np.diag(r))
 
 
-def haar_orthogonal(dim: int, gen: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix via sign-corrected QR."""
-    return _haar_frame(dim, dim, gen)
+def mean_rotated_losses(eigenvalues, vectors) -> tuple[np.ndarray, float]:
+    """Exact mean over a Haar Q of 0.5 v^T Q diag(lambda) Q^T v for each column
+    v of `vectors` (D x m), and the coefficient of variation over Q.
 
-
-def rotated_losses(eigenvalues, vectors, stream: RngStream) -> np.ndarray:
-    """Losses 0.5 v^T Q diag(lambda) Q^T v of the columns of `vectors` (D x m)
-    under one Haar orientation Q, exact in law, in O(D m^2) without building
-    Q: with the thin QR V = W R, Q^T V = (Q^T W) R and Q^T W is a Haar
-    D x min(D, m) frame.
+    u = Q^T v / |v| is uniform on the sphere: E u_i^2 = 1/D, E u_i^4 =
+    3/(D(D+2)), E u_i^2 u_j^2 = 1/(D(D+2)). So the mean is 0.5 |v|^2 mean(lambda)
+    and sd/mean = sqrt(2 sum (lambda_i - mean)^2 / (D(D+2))) / mean, the same
+    for every v. The centred sum cannot go negative by round-off.
     """
     lam = as_pvec(eigenvalues)
-    r = np.linalg.qr(as_matrix(vectors, rows=lam.size), mode="r")
-    z = _haar_frame(lam.size, r.shape[0], stream.generator()) @ r
-    return 0.5 * (lam @ (z * z))
+    v = as_matrix(vectors, rows=lam.size)
+    d, mean = lam.size, float(lam.mean())
+    cv = math.sqrt(2.0 * float(np.sum((lam - mean) ** 2)) / (d * (d + 2))) / mean
+    return 0.5 * np.sum(v * v, axis=0) * mean, cv
 
 
 # Normals drawn per batch in kinematics_transition. Consecutive draws from

@@ -1,10 +1,9 @@
-"""Linear expert merging and the correlation-aware variance law.
+"""Linear expert merging and the equicorrelated variance law.
 
-Covers the convex combination of expert parameter vectors, the merged
-variance under a general correlation structure, its equicorrelated closed
-form sigma^2 * (rho + (1 - rho)/n), the limiting value sigma^2 * rho, the
-merge-count upper bound floor(sigma^2 * (1 - rho) / delta), and stopping
-rules on a variance trace.
+Covers the convex combination of expert parameter vectors, the uniform-weight
+merged variance sigma^2 * (rho + (1 - rho)/n) of equicorrelated experts, the
+limiting value sigma^2 * rho, the merge-count upper bound
+floor(sigma^2 * (1 - rho) / delta), and stopping rules on a variance trace.
 """
 
 from __future__ import annotations
@@ -45,33 +44,6 @@ class MergeWeights:
         return self.alphas.size
 
 
-@dataclass(frozen=True)
-class CorrelationSpec:
-    """Per-expert standard deviations and the pairwise correlation matrix."""
-
-    sigmas: np.ndarray
-    rho: np.ndarray
-
-    def __post_init__(self):
-        s = as_pvec(self.sigmas)
-        r = as_matrix(self.rho)
-        object.__setattr__(self, "sigmas", s)
-        object.__setattr__(self, "rho", r)
-        n = s.size
-        if np.any(s <= 0):
-            raise ConfigError("all sigmas must be > 0")
-        if r.shape != (n, n):
-            raise ConfigError(f"rho must be {n}x{n}, got {r.shape}")
-        if not np.allclose(r, r.T, atol=1e-12):
-            raise ConfigError("rho must be symmetric")
-        if not np.allclose(np.diag(r), 1.0, atol=1e-12):
-            raise ConfigError("rho must have unit diagonal")
-        if np.any(np.abs(r) > 1 + 1e-12):
-            raise ConfigError("correlations must lie in [-1, 1]")
-        if n > 1 and np.linalg.eigvalsh(r).min() < -1e-8:
-            raise ConfigError("rho is not positive semidefinite")
-
-
 def merge_linear(experts, w: MergeWeights) -> np.ndarray:
     """Componentwise convex combination sum_i alpha_i * theta_i.
 
@@ -86,18 +58,6 @@ def merge_linear(experts, w: MergeWeights) -> np.ndarray:
     if stack.shape[0] != len(w):
         raise ConfigError(f"{stack.shape[0]} experts but {len(w)} weights")
     return w.alphas @ stack
-
-
-def merged_variance(spec: CorrelationSpec, w: MergeWeights) -> float:
-    """Variance of the merged parameter distribution under the given spec.
-
-    Equals sum_i alpha_i^2 sigma_i^2 + sum_{i!=j} alpha_i alpha_j rho_ij
-    sigma_i sigma_j, i.e. the quadratic form of the covariance matrix.
-    """
-    if len(w) != spec.sigmas.size:
-        raise ConfigError(f"{spec.sigmas.size} experts in spec but {len(w)} weights")
-    cov = spec.rho * np.outer(spec.sigmas, spec.sigmas)
-    return float(w.alphas @ cov @ w.alphas)
 
 
 def merged_variance_equicorrelated(sigma2: float, rho: float, n: int) -> float:

@@ -117,6 +117,16 @@ class TestMerge:
         assert "--weights" in capsys.readouterr().err
         assert not (tmp_path / "merged.mmpv").exists()
 
+    def test_unequal_lengths_exit_2(self, tmp_path, capsys):
+        p1, p2, p3 = tmp_path / "a.mmpv", tmp_path / "b.mmpv", tmp_path / "c.mmpv"
+        write_pvec(np.ones(3), p1)
+        write_pvec(np.ones(3), p2)
+        write_pvec(np.ones(4), p3)
+        out = tmp_path / "m"
+        assert run(["merge", p1, p2, p3, "--out", out]) == 2
+        assert "experts must share one dimension" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_4(self, tmp_path):
         assert run(["merge", tmp_path / "nope.mmpv", "--out", tmp_path]) == 4
 
@@ -241,6 +251,24 @@ class TestSaturate:
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{}")
         assert run(["saturate", "--config", bad, "--out", tmp_path]) == 2
+
+    # The merged variance overflows: at 1e305 var_mc and its stderr are inf
+    # for n = 1; at 1e306 and D = 20000 expected_loss is inf as well.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"sigma2": 1e305, "dimension": 2000, "n_experts": 3},
+         {"sigma2": 1e306, "dimension": 20000, "n_experts": 3}],
+        ids=["var-mc-inf", "expected-loss-inf"],
+    )
+    def test_non_finite_report_exit_3(self, tmp_path, cfg, fmt, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run(["saturate", "--config", path, "--format", fmt, "--out", out]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / f"saturation.{fmt}").exists()
 
 
 @pytest.mark.parametrize(
@@ -388,18 +416,31 @@ class TestReport:
             _report_text(config=[1]),
             _report_text(extra="x"),
             *(_report_text(schema_version=v) for v in [True, "2", 2.5]),
+            # json.dumps writes these as the NaN, Infinity and -Infinity tokens.
+            *(_report_text(rows=[[v]]) for v in [math.nan, math.inf]),
+            _report_text(extra={"x": -math.inf}),
+            _report_text(config={"x": [math.nan]}),
         ],
         ids=["not-json", "not-object", "missing-keys", "too-deep",
              "kind-escapes", "kind-empty", "kind-dot", "kind-dotdot", "kind-sep", "kind-nul",
              "kind-newline", "kind-int", "columns-str", "columns-int", "columns-null", "rows-str",
              "row-int", "rows-object", "config-list", "extra-str",
-             "version-bool", "version-str", "version-float"],
+             "version-bool", "version-str", "version-float",
+             "rows-nan", "rows-inf", "extra-minus-inf", "config-nested-nan"],
     )
     def test_malformed_report_exit_2(self, tmp_path, text):
         src = tmp_path / "in.json"
         src.write_text(text)
         assert run(["report", src, "--out", tmp_path / "out", "--format", "csv"]) == 2
         assert [p.name for p in tmp_path.rglob("*")] == ["in.json"]
+
+    def test_overflowing_number_exit_3(self, tmp_path):
+        # 1e400 is valid JSON that parses to inf; the report check catches it.
+        src = tmp_path / "in.json"
+        src.write_text(_report_text(rows=[[1]]).replace("[1]", "[1e400]"))
+        out = tmp_path / "out"
+        assert run(["report", src, "--out", out, "--format", "csv"]) == 3
+        assert not (out / "demo.csv").exists()
 
     def test_non_utf8_report_exit_2(self, tmp_path):
         src = tmp_path / "in.json"

@@ -25,9 +25,9 @@ OUTSIDE = [ROOT / "tests" / "test_acceptance.py", *(ROOT / "demos").glob("*.py")
 
 ALLOWED = {
     "tensorio.write_matrix": "the way to write the MMMX input that `subspace` reads",
-    "merge.merged_variance": "the paper's general variance law, over a CorrelationSpec",
     "geometry.QuadraticTask.sample_sublevel": "perfbench traces it until ROADMAP item 6",
-    "geometry.QuadraticTask.loss": "the reference TestRotatedLosses checks rotated_losses against",
+    "geometry.QuadraticTask.loss": "the fixed-basis reference of the closed-form cross-check "
+    "of mean_rotated_losses (TestRotatedLosses)",
 }
 
 ALLOWED_OPTIONS = {

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mergelimits import geometry
+from mergelimits import geometry, merge, rht
 from mergelimits.errors import ConfigError, NumericError
 from mergelimits.experiments import (
     MAX_SIZE,
@@ -176,9 +176,9 @@ class TestGenQuadraticTask:
     def test_basis_is_none(self):
         task = gen_quadratic_task(ExperimentConfig(seed=10, dimension=40))
         assert task.basis is None
-        with pytest.raises(ConfigError, match="rotated_losses"):
+        with pytest.raises(ConfigError, match="mean_rotated_losses"):
             task.loss(task.theta_star)
-        with pytest.raises(ConfigError, match="rotated_losses"):
+        with pytest.raises(ConfigError, match="mean_rotated_losses"):
             task.sample_sublevel(RngStream(10, 0))
 
     @pytest.mark.parametrize("seed,dim", [(0, 1), (10, 40), (123, 300)])
@@ -308,6 +308,31 @@ class TestRunRhtStudy:
         for row in rep.rows:
             assert all(math.isfinite(v) for v in row[1:])
 
+    def test_losses_are_exact_orientation_means(self):
+        # loss = 0.5 |theta - theta*|^2 mean(lambda), so the RHT-over-baseline
+        # ratio is |t - theta*|^2 / |m - theta*|^2 exactly.
+        cfg = ExperimentConfig(
+            seed=12, dimension=200, n_experts=4, spectrum=SpectrumDescriptor("geometric", 100.0)
+        )
+        rep = run_rht_study(cfg)
+        experts = gen_experts(cfg)
+        task = gen_quadratic_task(cfg)
+        lam_mean = float(task.eigenvalues.mean())
+        for n, row in enumerate(rep.rows, 1):
+            m = merge.merge_linear(experts[:n], merge.MergeWeights.uniform(n))
+            t = rht.apply_rht(m, cfg.rht_params, RngStream(cfg.seed, 100 + n))
+            dm = float(np.sum((m - task.theta_star) ** 2))
+            dt = float(np.sum((t - task.theta_star) ** 2))
+            assert row[1] == pytest.approx(0.5 * dm * lam_mean, rel=1e-13)
+            assert row[2] == pytest.approx(0.5 * dt * lam_mean, rel=1e-13)
+            assert row[2] / row[1] == pytest.approx(dt / dm, rel=1e-13)
+        # sd / mean from the uncentred moments, sqrt(2 (D sum l^2 - (sum l)^2) / (D^2 (D+2))).
+        lam, d = task.eigenvalues, cfg.dimension
+        spread = d * float(np.sum(lam**2)) - float(np.sum(lam)) ** 2
+        cv = math.sqrt(2.0 * spread / (d * d * (d + 2))) / lam_mean
+        assert rep.extra["loss_orientation_cv"] == pytest.approx(cv, rel=1e-13)
+        assert 0.0 < rep.extra["loss_orientation_cv"] < 1.0
+
     def test_more_scored_vectors_than_dimensions(self):
         rep = run_rht_study(ExperimentConfig(seed=8, dimension=4, n_experts=5))
         assert [row[0] for row in rep.rows] == list(range(1, 6))
@@ -335,7 +360,8 @@ class TestRunRhtStudy:
         run_rht_study(ExperimentConfig(seed=10, dimension=50, n_experts=6))
         assert all(len(where) == 1 for where in sites.values()), sites
         ids = {stream_id for _, stream_id in sites}
-        assert {2, 6} <= ids and 5 not in ids
+        # Stream 2 is theta_star; streams 5 and 6 are retired.
+        assert 2 in ids and not {5, 6} & ids
         assert {seed for seed, _ in sites} == {10}
 
     def test_large_dimension_allocates_no_square_matrix(self):
@@ -395,6 +421,18 @@ class TestReportIO:
         emit_report(rep, "json", p)
         back = Report.from_json(p.read_text())
         assert back == rep
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_opens_no_file(self, tmp_path, fmt, value):
+        for rep in (
+            Report("x", ["v"], [[1.0], [value]], {}, {}),
+            Report("x", ["v"], [], {"a": {"b": [value]}}, {}),
+            Report("x", ["v"], [], {}, {"a": value}),
+        ):
+            with pytest.raises(NumericError, match="non-finite"):
+                emit_report(rep, fmt, tmp_path / "r")
+            assert not (tmp_path / "r").exists()
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):

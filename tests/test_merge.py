@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from mergelimits.errors import ConfigError, NumericError
 from mergelimits.merge import (
-    CorrelationSpec,
     MergeWeights,
     merge_linear,
-    merged_variance,
     merged_variance_equicorrelated,
     n_max,
     termination_check,
@@ -72,32 +70,6 @@ class TestMergeLinear:
             MergeWeights(np.array([1.5, -0.5]))
 
 
-class TestMergedVariance:
-    def test_single_expert(self):
-        spec = CorrelationSpec(np.array([2.0]), np.array([[1.0]]))
-        assert merged_variance(spec, MergeWeights(np.array([1.0]))) == 4.0
-
-    def test_two_experts_against_mc(self):
-        # Oracle: empirical variance of the weighted sum of 1e6 correlated pairs.
-        rho = 0.5
-        spec = CorrelationSpec(np.ones(2), np.array([[1.0, rho], [rho, 1.0]]))
-        w = MergeWeights(np.array([0.5, 0.5]))
-        analytic = merged_variance(spec, w)
-        assert analytic == pytest.approx(0.75, abs=1e-12)
-        gen = RngStream(21, 0).generator()
-        z0 = gen.normal(size=10**6)
-        z = gen.normal(size=(2, 10**6))
-        experts = math.sqrt(rho) * z0 + math.sqrt(1 - rho) * z
-        emp = (0.5 * experts[0] + 0.5 * experts[1]).var()
-        assert emp == pytest.approx(analytic, rel=0.01)
-
-    def test_fully_correlated(self):
-        spec = CorrelationSpec(np.ones(4), np.ones((4, 4)))
-        for alphas in ([0.25] * 4, [0.7, 0.1, 0.1, 0.1]):
-            v = merged_variance(spec, MergeWeights(np.array(alphas)))
-            assert v == pytest.approx(1.0, abs=1e-12)
-
-
 class TestEquicorrelated:
     def test_single(self):
         assert merged_variance_equicorrelated(2.0, 0.3, 1) == pytest.approx(2.0)
@@ -117,10 +89,12 @@ class TestEquicorrelated:
         st.integers(1, 50),
     )
     def test_matches_general_formula(self, sigma2, rho, n):
+        # Oracle: the general law, the quadratic form of the covariance matrix.
         r = np.full((n, n), rho)
         np.fill_diagonal(r, 1.0)
-        spec = CorrelationSpec(np.full(n, math.sqrt(sigma2)), r)
-        general = merged_variance(spec, MergeWeights.uniform(n))
+        s = np.full(n, math.sqrt(sigma2))
+        w = MergeWeights.uniform(n).alphas
+        general = float(w @ (r * np.outer(s, s)) @ w)
         closed = merged_variance_equicorrelated(sigma2, rho, n)
         assert abs(general - closed) < 1e-12 * max(1.0, closed)
 
@@ -141,7 +115,7 @@ class TestEquicorrelated:
         # Empirical variance of the uniform mean of n equicorrelated Gaussians.
         gen = RngStream(22, 0).generator()
         draws = 200_000
-        for n, rho in [(2, 0.0), (3, 0.5), (5, 0.8), (8, 0.2)]:
+        for n, rho in [(2, 0.0), (3, 0.5), (5, 0.8), (8, 0.2), (2, 0.5)]:
             z0 = gen.normal(size=draws)
             zs = gen.normal(size=(n, draws))
             experts = math.sqrt(rho) * z0 + math.sqrt(1 - rho) * zs
