@@ -70,6 +70,20 @@ class TestMergeLinear:
             MergeWeights(np.array([1.5, -0.5]))
 
 
+class TestMergedVariance:
+    def test_two_experts_against_mc(self):
+        # Oracle: empirical variance of the weighted sum of 1e6 correlated pairs.
+        rho = 0.5
+        analytic = merged_variance_equicorrelated(1.0, rho, 2)
+        assert analytic == pytest.approx(0.75, abs=1e-12)
+        gen = RngStream(21, 0).generator()
+        z0 = gen.normal(size=10**6)
+        z = gen.normal(size=(2, 10**6))
+        experts = math.sqrt(rho) * z0 + math.sqrt(1 - rho) * z
+        emp = (0.5 * experts[0] + 0.5 * experts[1]).var()
+        assert emp == pytest.approx(analytic, rel=0.01)
+
+
 class TestEquicorrelated:
     def test_single(self):
         assert merged_variance_equicorrelated(2.0, 0.3, 1) == pytest.approx(2.0)
@@ -115,7 +129,7 @@ class TestEquicorrelated:
         # Empirical variance of the uniform mean of n equicorrelated Gaussians.
         gen = RngStream(22, 0).generator()
         draws = 200_000
-        for n, rho in [(2, 0.0), (3, 0.5), (5, 0.8), (8, 0.2), (2, 0.5)]:
+        for n, rho in [(2, 0.0), (3, 0.5), (5, 0.8), (8, 0.2)]:
             z0 = gen.normal(size=draws)
             zs = gen.normal(size=(n, draws))
             experts = math.sqrt(rho) * z0 + math.sqrt(1 - rho) * zs
