@@ -25,7 +25,7 @@ from . import geometry, merge, rht
 from .errors import MAX_SIZE, ConfigError, NumericError, require_real, require_size
 from .tensorio import RngStream
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def _parse_json(text: str, what: str):
@@ -294,27 +294,30 @@ def run_saturation(cfg: ExperimentConfig) -> Report:
     gains = geometry.marginal_gains(task, up_to)
 
     rows = []
-    for i, n in enumerate(n_vals):
-        w = merge.MergeWeights.uniform(n)
-        merged = merge.merge_linear(experts[:n], w)
-        var_mc = float(merged.var())
-        stderr = var_mc * math.sqrt(2.0 / max(cfg.dimension - 1, 1))
-        width = geometry.width_jensen(task, min(n, cfg.dimension))
-        gain = float(gains[i]) if i < up_to else 0.0
-        rows.append(
-            [
-                n,
-                trace[i],
-                var_mc,
-                stderr,
-                0.5 * trace[i] * trace_h,
-                width,
-                gain,
-                stop_succ is not None and n >= stop_succ,
-                stop_dist is not None and i >= stop_dist,
-                bool(geometry.redundancy_bound_check(task, merged, min(n, cfg.dimension - 1))),
-            ]
-        )
+    # An overflowing sigma2 makes var_mc or the redundancy distance inf;
+    # emit_report rejects the report as a NumericError, so numpy need not warn.
+    with np.errstate(over="ignore"):
+        for i, n in enumerate(n_vals):
+            w = merge.MergeWeights.uniform(n)
+            merged = merge.merge_linear(experts[:n], w)
+            var_mc = float(merged.var())
+            stderr = var_mc * math.sqrt(2.0 / max(cfg.dimension - 1, 1))
+            width = geometry.width_jensen(task, min(n, cfg.dimension))
+            gain = float(gains[i]) if i < up_to else 0.0
+            rows.append(
+                [
+                    n,
+                    trace[i],
+                    var_mc,
+                    stderr,
+                    0.5 * trace[i] * trace_h,
+                    width,
+                    gain,
+                    stop_succ is not None and n >= stop_succ,
+                    stop_dist is not None and i >= stop_dist,
+                    bool(geometry.redundancy_bound_check(task, merged, min(n, cfg.dimension - 1))),
+                ]
+            )
     extra = {
         "n_max": nmax,
         "variance_limit": limit,
@@ -334,7 +337,14 @@ def run_kinematics(
     subspace_dim: Optional[int] = None,
 ) -> Report:
     """Intersection-probability curve for a cone (or fixed subspace) vs a
-    Haar-rotated k-subspace, swept over k."""
+    Haar-rotated k-subspace, swept over k.
+
+    The cone's statistical dimension is drawn from stream.substream(0) and
+    the whole sweep is one kinematics_transition call on stream.substream(1),
+    so every k reads the same nested flags and the curve is non-decreasing;
+    crossing_k is the first k with probability >= 0.5. A subspace sweep is
+    exact and draws nothing.
+    """
     if trials < 200:
         raise ConfigError(f"need >= 200 trials, got {trials}")
     if dim < 1:
@@ -355,15 +365,9 @@ def run_kinematics(
         body = int(subspace_dim)
         statdim, statdim_se = float(subspace_dim), 0.0
 
-    rows = []
-    crossing = None
-    for j, k in enumerate(k_values):
-        p = float(
-            geometry.kinematics_transition(dim, body, int(k), trials, stream.substream(1 + j))
-        )
-        rows.append([int(k), p])
-        if crossing is None and p >= 0.5:
-            crossing = int(k)
+    probs = geometry.kinematics_transition(dim, body, k_values, trials, stream.substream(1))
+    rows = [[int(k), float(p)] for k, p in zip(k_values, probs)]
+    crossing = next((k for k, p in rows if p >= 0.5), None)
     extra = {
         "dim": dim,
         "trials": trials,

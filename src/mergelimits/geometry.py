@@ -10,6 +10,7 @@ loss, and the kinematic transition of a cone or subspace vs a Haar subspace.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,8 +156,12 @@ def statdim_cone_mc(cone: CircularCone, dim: int, samples: int, stream: RngStrea
         raise ConfigError(f"dim {dim} disagrees with cone axis dim {cone.axis.size}")
     g = stream.generator().normal(size=(samples, dim))
     t = g @ cone.axis
-    w = g - np.outer(t, cone.axis)
-    rho = np.linalg.norm(w, axis=1)
+    # g becomes its component orthogonal to the axis, then its square, in
+    # place: only the axis's nonzero coordinates change, and no samples x dim
+    # temporary is made.
+    for j in np.flatnonzero(cone.axis):
+        g[:, j] -= t * cone.axis[j]
+    rho = np.sqrt(np.square(g, out=g).sum(axis=1))
     tan_a = math.tan(cone.half_angle)
     # |Pi(g)|^2: inside -> |g|^2; polar (dot <= 0) -> 0; else boundary ray.
     inside = rho <= t * tan_a
@@ -196,37 +201,56 @@ _CHUNK_NORMALS = 1 << 16
 def kinematics_transition(
     dim: int,
     cone_or_subspace,
-    k: int,
+    k: int | Sequence[int],
     trials: int,
     stream: RngStream,
-) -> float:
+) -> float | np.ndarray:
     """Probability that C intersects a Haar-rotated k-subspace S.
 
-    cone_or_subspace is a CircularCone or an int k1, the fixed subspace
-    E_k1 spanned by the first k1 coordinate axes.
+    k is an int, which returns a float, or a 1-D sequence of ints, which
+    returns an array with one probability per entry. cone_or_subspace is a
+    CircularCone or an int k1, the fixed subspace E_k1 spanned by the first
+    k1 coordinate axes. Every k is validated before anything is drawn.
 
     - Subspace: exact. Two subspaces in general position meet nontrivially
       iff k1 + k > D, so this returns that indicator and draws nothing.
     - Cone: Monte Carlo over `trials` draws. S meets the cone nontrivially
       iff arccos |Pi_S u| <= half_angle (+ 1e-10 rad). By rotation
-      invariance |Pi_S u|^2 has the law of sum_{i<k} g_i^2 / |g|^2 for
-      g ~ N(0, I_D), so a trial is one D-vector.
+      invariance S_k can be spanned by the first k axes of one Haar frame,
+      and |Pi_S u|^2 has the law of sum_{i<k} g_i^2 / |g|^2 for
+      g ~ N(0, I_D), so a trial is one D-vector. All k of one call share
+      the same trials: S_1 < S_2 < ... is a nested flag, one cumsum of g^2
+      gives every k's ratio, and a trial counts from its first hitting k
+      on. The swept curve is thus non-decreasing; its entries are
+      correlated, and each is binomial(trials, P(k)) / trials on its own.
     """
+    ks = np.asarray(k)
     if trials < 100:
         raise ConfigError(f"need >= 100 trials, got {trials}")
-    if not 0 < k <= dim:
-        raise ConfigError(f"k must be in (0, {dim}], got {k}")
+    if ks.ndim > 1 or ks.size == 0 or not np.issubdtype(ks.dtype, np.integer):
+        raise ConfigError(f"k must be an int or a non-empty 1-D sequence of ints, got {k!r}")
+    bad = ks[(ks < 1) | (ks > dim)]
+    if bad.size:
+        raise ConfigError(f"k must be in (0, {dim}], got {bad[0]}")
     if not isinstance(cone_or_subspace, CircularCone):
         k1 = int(cone_or_subspace)
         if not 0 < k1 <= dim:
             raise ConfigError(f"subspace dim must be in (0, {dim}], got {k1}")
-        return 1.0 if k1 + k > dim else 0.0
+        p = np.where(k1 + ks > dim, 1.0, 0.0)
+        return float(p) if p.ndim == 0 else p
     limit = cone_or_subspace.half_angle + _ANGLE_TOL
+    k_top = int(ks.max())
     gen = stream.generator()
     batch = max(1, _CHUNK_NORMALS // dim)
-    hits = 0
+    # first[j] counts the trials whose first hitting k is j + 1; first[k_top]
+    # counts those that miss every k <= k_top.
+    first = np.zeros(k_top + 1, dtype=np.int64)
     for start in range(0, trials, batch):
         g = gen.normal(size=(min(batch, trials - start), dim))
-        ratio = np.sum(g[:, :k] ** 2, axis=1) / np.sum(g * g, axis=1)
-        hits += int(np.count_nonzero(np.arccos(np.minimum(np.sqrt(ratio), 1.0)) <= limit))
-    return hits / trials
+        c = np.cumsum(np.square(g, out=g), axis=1)
+        ratio = c[:, :k_top] / c[:, -1:]
+        hit = np.arccos(np.minimum(np.sqrt(ratio), 1.0)) <= limit
+        idx = np.where(hit.any(axis=1), hit.argmax(axis=1), k_top)
+        first += np.bincount(idx, minlength=k_top + 1)
+    p = np.cumsum(first)[ks - 1] / trials
+    return float(p) if p.ndim == 0 else p

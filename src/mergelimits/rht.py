@@ -97,10 +97,16 @@ def rht_inverse(y: float, p: RHTParams) -> float:
 
 
 def apply_rht(w: np.ndarray, p: RHTParams, stream: RngStream) -> np.ndarray:
-    """Full pipeline: estimate (mu, sigma) from w, difference, then map."""
+    """Full pipeline: estimate (mu, sigma) from w, difference, then map.
+
+    A w whose std overflows is a NumericError, raised before any draw.
+    """
     w = as_pvec(w)
-    mu = float(w.mean())
-    sigma = float(w.std())
+    with np.errstate(over="ignore"):
+        mu = float(w.mean())
+        sigma = float(w.std())
+    if not math.isfinite(sigma):
+        raise NumericError(f"non-finite std of w: {sigma}")
     diffed = gaussian_difference(w, mu, p.sigma_g_ratio * sigma, stream)
     out = rht_map(diffed, p)
     bad = np.nonzero(~np.isfinite(out))[0]

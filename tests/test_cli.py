@@ -183,8 +183,10 @@ class TestKinematics:
             ["--k-step", 0, "--subspace-dim", 4],
             ["--dim", 0, "--half-angle-deg", 30],
             ["--k-min", 5, "--k-max", 2, "--subspace-dim", 4],
+            ["--dim", 10, "--k-max", 11, "--half-angle-deg", 30],
+            ["--k-min", 0, "--subspace-dim", 4],
         ],
-        ids=["zero-step", "zero-dim", "empty-range"],
+        ids=["zero-step", "zero-dim", "empty-range", "k-max-past-dim", "zero-k-min"],
     )
     def test_bad_sweep_exit_2(self, tmp_path, flags):
         assert run(["kinematics", *flags, "--trials", 200, "--out", tmp_path]) == 2
@@ -254,7 +256,6 @@ class TestSaturate:
 
     # The merged variance overflows: at 1e305 var_mc and its stderr are inf
     # for n = 1; at 1e306 and D = 20000 expected_loss is inf as well.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "cfg",
@@ -333,6 +334,23 @@ class TestRhtStudy:
                     "--format", "json"]) == 0
         rep = Report.from_json((out / "rht_study.json").read_text())
         assert "coverage_gaussian" in rep.extra
+
+    # The std of the merged expert overflows, so apply_rht stops before it
+    # draws; numpy warns of nothing, and the suite turns warnings into errors.
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"sigma2": 1e305, "dimension": 2000, "n_experts": 3},
+         {"sigma2": 1e306, "dimension": 20000, "n_experts": 3}],
+        ids=["d2000", "d20000"],
+    )
+    def test_overflowing_merge_exit_3(self, tmp_path, cfg, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run(["rht-study", "--config", path, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: non-finite") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSubspace:

@@ -270,17 +270,56 @@ class TestRunKinematics:
 
     @pytest.mark.parametrize(
         "dim, k_values",
-        [(0, [1]), (10, []), (10, range(5, 3))],
-        ids=["zero-dim", "empty", "empty-range"],
+        [(0, [1]), (10, []), (10, range(5, 3)), (10, [2.5])],
+        ids=["zero-dim", "empty", "empty-range", "float-k"],
     )
     def test_bad_sweep_rejected(self, dim, k_values):
         with pytest.raises(ConfigError):
             run_kinematics(dim, k_values, 200, RngStream(70, 5), half_angle=0.5)
 
-    def test_matches_committed_demo(self):
-        rep = run_kinematics(60, range(1, 61), 300, RngStream(0, 30), half_angle=math.radians(30))
-        committed = Path(__file__).parents[1] / "demos" / "out" / "kinematics_30deg.csv"
+    @pytest.mark.parametrize("deg", [20, 30, 45])
+    def test_matches_committed_demo(self, deg):
+        rep = run_kinematics(
+            60, range(1, 61), 300, RngStream(0, deg), half_angle=math.radians(deg)
+        )
+        committed = Path(__file__).parents[1] / "demos" / "out" / f"kinematics_{deg}deg.csv"
         assert rep.to_csv().encode() == committed.read_bytes()
+
+    @pytest.mark.parametrize("deg", [20, 30, 45])
+    def test_curve_non_decreasing_with_unique_crossing(self, deg):
+        d = 60
+        rep = run_kinematics(d, range(1, d + 1), 200, RngStream(71, deg), half_angle=math.radians(deg))
+        ps = [p for _, p in rep.rows]
+        assert all(a <= b for a, b in zip(ps, ps[1:]))
+        crossing = rep.extra["crossing_k"]
+        assert all((p >= 0.5) == (k >= crossing) for k, p in rep.rows)
+
+    def test_one_draw_per_substream(self, monkeypatch):
+        # statdim reads substream 0 and the whole sweep substream 1: trials x D
+        # normals for every k together, not one block per k.
+        sites, normals = {}, {}
+        generator = RngStream.generator
+
+        class Counting:
+            def __init__(self, stream_id, gen):
+                self.stream_id, self.gen = stream_id, gen
+
+            def normal(self, size):
+                normals[self.stream_id] = normals.get(self.stream_id, 0) + math.prod(size)
+                return self.gen.normal(size=size)
+
+        def recording(self):
+            sites.setdefault((self.seed, self.stream_id), set()).add(sys._getframe(1).f_code.co_name)
+            return Counting(self.stream_id, generator(self))
+
+        monkeypatch.setattr(RngStream, "generator", recording)
+        d, trials = 60, 300
+        stream = RngStream(72, 4)
+        run_kinematics(d, range(1, d + 1), trials, stream, subspace_dim=20)
+        assert sites == {}
+        run_kinematics(d, range(1, d + 1), trials, stream, half_angle=math.radians(30))
+        assert sites == {(72, 5): {"statdim_cone_mc"}, (72, 6): {"kinematics_transition"}}
+        assert normals == {5: 20_000 * d, 6: trials * d}
 
     def test_rows_json_safe(self):
         rep = run_kinematics(8, [2, 6], 200, RngStream(70, 4), subspace_dim=4)

@@ -251,6 +251,27 @@ class TestStatDim:
         # Wide cone: statistical dimension approaches the ambient dimension.
         assert a > 15
 
+    @pytest.mark.parametrize("axis_kind", ["e1", "generic"])
+    def test_matches_unfused_formula(self, axis_kind):
+        # The in-place projection gives the bits of g - outer(t, axis) and
+        # np.linalg.norm, written out here as the reference.
+        d, n = 30, 5000
+        if axis_kind == "e1":
+            axis = np.zeros(d)
+            axis[0] = 1.0
+        else:
+            axis = RngStream(48, 0).generator().normal(size=d)
+            axis /= np.linalg.norm(axis)
+        cone = CircularCone(axis, math.radians(35))
+        got = statdim_cone_mc(cone, d, n, RngStream(48, 1))
+        g = RngStream(48, 1).generator().normal(size=(n, d))
+        t = g @ cone.axis
+        rho = np.linalg.norm(g - np.outer(t, cone.axis), axis=1)
+        inside = rho <= t * math.tan(cone.half_angle)
+        dot = np.cos(cone.half_angle) * t + np.sin(cone.half_angle) * rho
+        sq = np.where(inside, t * t + rho * rho, np.maximum(dot, 0.0) ** 2)
+        assert got == (float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n)))
+
     @pytest.mark.parametrize("d", [3, 20, 60])
     def test_self_dual_cone_is_half_the_space(self, d):
         # delta(C) + delta(C polar) = D, and the polar of the 45-degree cone is
@@ -301,6 +322,51 @@ class TestKinematics:
             stderr = max(math.sqrt(exact * (1 - exact) / trials), 0.5 / trials)
             assert abs(p - exact) <= 4.5 * stderr, (k, p, exact)
 
+    @pytest.mark.parametrize("deg", [20, 30, 45])
+    def test_one_sweep_matches_beta_law(self, deg):
+        # Every k reads the same trials, so the columns are correlated, but
+        # each is binomial(trials, P(k)) / trials on its own.
+        d, trials = 60, 500
+        axis = np.zeros(d)
+        axis[0] = 1.0
+        cone = CircularCone(axis, math.radians(deg))
+        c2 = math.cos(math.radians(deg)) ** 2
+        ks = np.arange(1, d + 1)
+        p = kinematics_transition(d, cone, ks, trials, RngStream(47, deg))
+        exact = np.append(stats.beta.sf(c2, ks[:-1] / 2, (d - ks[:-1]) / 2), 1.0)
+        stderr = np.maximum(np.sqrt(exact * (1 - exact) / trials), 0.5 / trials)
+        assert p.shape == (d,)
+        assert np.all(np.abs(p - exact) <= 4.5 * stderr), np.abs(p - exact) / stderr
+        assert np.all(np.diff(p) >= 0.0)
+
+    @pytest.mark.parametrize("k", [1, 17, 44, 60])
+    def test_sequence_entries_match_scalar_calls(self, k):
+        d, trials = 60, 300
+        axis = np.zeros(d)
+        axis[0] = 1.0
+        for body in (CircularCone(axis, math.radians(30)), 20):
+            scalar = kinematics_transition(d, body, k, trials, RngStream(47, 100 + k))
+            single = kinematics_transition(d, body, [k], trials, RngStream(47, 100 + k))
+            swept = kinematics_transition(d, body, range(1, d + 1), trials, RngStream(47, 100 + k))
+            assert type(scalar) is float and single.shape == (1,)
+            assert single[0] == scalar == swept[k - 1]
+
+    @pytest.mark.parametrize(
+        "k",
+        [0, [1, 0], [5, 11], [], [[1, 2]], [1.5]],
+        ids=["zero", "zero-in-sweep", "past-dim", "empty", "two-dim", "float"],
+    )
+    def test_every_k_validated_before_drawing(self, k):
+        class NoDraws:
+            def generator(self):
+                raise AssertionError("drew before validating k")
+
+        axis = np.zeros(10)
+        axis[0] = 1.0
+        for body in (CircularCone(axis, math.radians(30)), 4):
+            with pytest.raises(ConfigError):
+                kinematics_transition(10, body, k, 100, NoDraws())
+
     def test_never_builds_haar_matrix(self, monkeypatch):
         def no_haar(*args, **kwargs):
             raise AssertionError("kinematics_transition built a Haar matrix")
@@ -331,9 +397,17 @@ class TestKinematics:
         d, trials = 30, 300
         axis = np.zeros(d)
         axis[0] = 1.0
-        cases = [(CircularCone(axis, math.radians(30)), k) for k in (18, 22, 26)] + [(10, 15)]
-        before = [kinematics_transition(d, b, k, trials, RngStream(45, 106)) for b, k in cases]
+        cone = CircularCone(axis, math.radians(30))
+        cases = [(cone, k) for k in (18, 22, 26)] + [(10, 15), (cone, [26, 18, 22])]
+
+        def results():
+            return [
+                np.asarray(kinematics_transition(d, b, k, trials, RngStream(45, 106))).tolist()
+                for b, k in cases
+            ]
+
+        before = results()
         monkeypatch.setattr(geometry, "_CHUNK_NORMALS", 1 if chunk == "one-trial" else d * d * trials)
-        after = [kinematics_transition(d, b, k, trials, RngStream(45, 106)) for b, k in cases]
+        after = results()
         assert after == before
         assert 0.0 < before[1] < 1.0

@@ -163,6 +163,15 @@ class TestApply:
         out = apply_rht(np.full(100, 3.7), RHTParams(), RngStream(52, 4))
         assert np.all(np.isfinite(out))
 
+    def test_overflowing_std_rejected_before_drawing(self):
+        class NoDraws:
+            def generator(self):
+                raise AssertionError("drew noise for a w whose std overflows")
+
+        w = np.array([1e200, -1e200, 3e200])
+        with pytest.raises(NumericError, match="non-finite std"):
+            apply_rht(w, RHTParams(), NoDraws())
+
 
 class TestDensity:
     def test_symmetry(self):
