@@ -3,8 +3,9 @@
 A circular cone C and a Haar-rotated k-dimensional subspace intersect
 nontrivially with probability that jumps from ~0 to ~1 as k crosses
 D - delta(C), where delta is the statistical dimension. For a cone with
-half-angle theta, delta is roughly D sin^2(theta), so the crossing point
-is predictable before running a single trial.
+half-angle a, delta is an exact 1-D integral over the polar angle, close to
+D sin^2(a) + cos(2a), so the crossing point is predictable before running
+a single trial.
 
 Run from the repository root:
 

@@ -25,7 +25,7 @@ from . import geometry, merge, rht
 from .errors import MAX_SIZE, ConfigError, NumericError, require_real, require_size
 from .tensorio import RngStream
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def _parse_json(text: str, what: str):
@@ -339,11 +339,12 @@ def run_kinematics(
     """Intersection-probability curve for a cone (or fixed subspace) vs a
     Haar-rotated k-subspace, swept over k.
 
-    The cone's statistical dimension is drawn from stream.substream(0) and
-    the whole sweep is one kinematics_transition call on stream.substream(1),
-    so every k reads the same nested flags and the curve is non-decreasing;
-    crossing_k is the first k with probability >= 0.5. A subspace sweep is
-    exact and draws nothing.
+    The statistical dimension is exact for either body (statdim_stderr is
+    0.0): geometry.statdim_cone for a cone, subspace_dim for a subspace. A
+    cone's whole sweep is one kinematics_transition call on
+    stream.substream(1), so every k reads the same nested flags and the
+    curve is non-decreasing; crossing_k is the first k with probability
+    >= 0.5. A subspace sweep is exact and draws nothing.
     """
     if trials < 200:
         raise ConfigError(f"need >= 200 trials, got {trials}")
@@ -358,12 +359,10 @@ def run_kinematics(
         axis = np.zeros(dim)
         axis[0] = 1.0
         body = geometry.CircularCone(axis, half_angle)
-        statdim, statdim_se = geometry.statdim_cone_mc(
-            body, dim, 20_000, stream.substream(0)
-        )
+        statdim = geometry.statdim_cone(body)
     else:
         body = int(subspace_dim)
-        statdim, statdim_se = float(subspace_dim), 0.0
+        statdim = float(subspace_dim)
 
     probs = geometry.kinematics_transition(dim, body, k_values, trials, stream.substream(1))
     rows = [[int(k), float(p)] for k, p in zip(k_values, probs)]
@@ -372,7 +371,7 @@ def run_kinematics(
         "dim": dim,
         "trials": trials,
         "statdim": statdim,
-        "statdim_stderr": statdim_se,
+        "statdim_stderr": 0.0,
         "crossing_k": crossing,
         "predicted_crossing": dim - statdim,
         "half_angle": half_angle,

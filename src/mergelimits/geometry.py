@@ -3,12 +3,14 @@
 Gaussian width of the ellipsoid {theta : (theta - theta*)^T H (theta -
 theta*) <= 2 eps} both in the Jensen closed form sqrt(2 eps sum 1/lambda_i)
 and by Monte Carlo, diminishing marginal gains, the statistical dimension of
-circular cones, the projected-width redundancy threshold, the Haar-averaged
-loss, and the kinematic transition of a cone or subspace vs a Haar subspace.
+circular cones (exact by quadrature, with a Monte-Carlo cross-check), the
+projected-width redundancy threshold, the Haar-averaged loss, and the
+kinematic transition of a cone or subspace vs a Haar subspace.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -148,8 +150,43 @@ def redundancy_bound_check(task: QuadraticTask, theta_k: np.ndarray, active: int
     return active <= task.dim - projected_width_sq(task, theta_k, active) + _ANGLE_TOL
 
 
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-node Gauss-Legendre rule on [-1, 1], built once per process."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def statdim_cone(cone: CircularCone) -> float:
+    """Exact statistical dimension E|Pi_C(g)|^2 of a circular cone.
+
+    |Pi_C(g)|^2 = |g|^2 f(theta) with |g| independent of the polar angle
+    theta between g and the axis, so delta = D E f(theta) (arXiv:1303.6672).
+    theta has density proportional to sin^(D-2) theta on [0, pi]; f is 1 on
+    [0, a], cos^2(theta - a) on [a, a + pi/2] and 0 beyond. Both integrals
+    use one 64-node Gauss-Legendre rule per piece, split at the two kinks
+    and clipped to |theta - pi/2| <= sqrt(80 / (D - 2)), outside which
+    sin^(D-2) theta < e^-40 of its peak. D = 1 is the ray, delta = 1/2.
+    """
+    dim, a = cone.axis.size, cone.half_angle
+    if dim == 1:
+        return 0.5
+    half = math.pi / 2 if dim == 2 else min(math.pi / 2, math.sqrt(80.0 / (dim - 2)))
+    lo, hi = math.pi / 2 - half, math.pi / 2 + half
+    edges = np.array([lo, *(t for t in (a, a + math.pi / 2) if lo < t < hi), hi])
+    mid, rad = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+    nodes, weights = _legendre_rule()
+    theta = mid[:, None] + rad[:, None] * nodes
+    # sin^(D-2) theta through its log: the peak is 1, so nothing overflows.
+    mass = weights * rad[:, None] * np.exp((dim - 2) * np.log(np.sin(theta)))
+    f = np.where(theta < a + math.pi / 2, np.cos(np.maximum(theta - a, 0.0)) ** 2, 0.0)
+    return dim * float(np.sum(mass * f) / np.sum(mass))
+
+
 def statdim_cone_mc(cone: CircularCone, dim: int, samples: int, stream: RngStream) -> tuple[float, float]:
-    """Monte-Carlo statistical dimension E|Pi_C(g)|^2 with stderr."""
+    """Monte-Carlo statistical dimension E|Pi_C(g)|^2 with stderr: the
+    cross-check of statdim_cone."""
     if samples < 1000:
         raise ConfigError(f"need >= 1000 samples, got {samples}")
     if dim != cone.axis.size:

@@ -45,6 +45,24 @@ def test_import_leaves_scipy_submodules_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_cone_kinematics_loads_no_scipy(tmp_path):
+    # The exact statistical dimension is a numpy quadrature: importing
+    # scipy.special alone would cost ~100 times the whole cone run.
+    argv = ["kinematics", "--dim", "60", "--half-angle-deg", "30", "--trials", "200",
+            "--out", str(tmp_path)]
+    code = (
+        f"import sys, mergelimits.cli; code = mergelimits.cli.main({argv!r}); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mergelimits.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "kinematics.csv").exists()
+
+
 class TestGenExperts:
     def test_writes_expert_files(self, tmp_path, small_config, capsys):
         out = tmp_path / "experts"

@@ -295,8 +295,8 @@ class TestRunKinematics:
         assert all((p >= 0.5) == (k >= crossing) for k, p in rep.rows)
 
     def test_one_draw_per_substream(self, monkeypatch):
-        # statdim reads substream 0 and the whole sweep substream 1: trials x D
-        # normals for every k together, not one block per k.
+        # statdim is exact and draws nothing; the whole sweep reads substream 1:
+        # trials x D normals for every k together, not one block per k.
         sites, normals = {}, {}
         generator = RngStream.generator
 
@@ -318,8 +318,8 @@ class TestRunKinematics:
         run_kinematics(d, range(1, d + 1), trials, stream, subspace_dim=20)
         assert sites == {}
         run_kinematics(d, range(1, d + 1), trials, stream, half_angle=math.radians(30))
-        assert sites == {(72, 5): {"statdim_cone_mc"}, (72, 6): {"kinematics_transition"}}
-        assert normals == {5: 20_000 * d, 6: trials * d}
+        assert sites == {(72, 6): {"kinematics_transition"}}
+        assert normals == {6: trials * d}
 
     def test_rows_json_safe(self):
         rep = run_kinematics(8, [2, 6], 200, RngStream(70, 4), subspace_dim=4)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from mergelimits import geometry
 from mergelimits.errors import ConfigError
@@ -15,6 +15,7 @@ from mergelimits.geometry import (
     mean_rotated_losses,
     projected_width_sq,
     redundancy_bound_check,
+    statdim_cone,
     statdim_cone_mc,
     width_jensen,
     width_mc,
@@ -25,6 +26,29 @@ from mergelimits.tensorio import RngStream
 def identity_task(dim, epsilon=0.5, lam=None):
     lam = np.ones(dim) if lam is None else np.asarray(lam, dtype=float)
     return QuadraticTask(np.zeros(dim), lam, np.eye(dim), epsilon)
+
+
+def e1_cone(dim, half_angle):
+    axis = np.zeros(dim)
+    axis[0] = 1.0
+    return CircularCone(axis, half_angle)
+
+
+def statdim_betainc(dim, a):
+    """delta(C) = D E f(theta) in incomplete-beta form, a reference for
+    statdim_cone. u = cos^2 theta ~ Beta(1/2, (D-1)/2) with either sign of
+    cos theta equally likely. Expanding cos^2(theta - a) on the band
+    a < theta < a + pi/2, where u < cos^2 a (cos theta > 0) or u < sin^2 a
+    (cos theta < 0), leaves truncated moments of u and 1 - u, plus a
+    sin theta cos theta term that integrates to sin^D theta / D."""
+    c2, s2, b = math.cos(a) ** 2, math.sin(a) ** 2, (dim - 1) / 2
+    inside = 0.5 * special.betainc(b, 0.5, s2)
+    cos_band = 0.5 / dim * (special.betainc(1.5, b, c2) + special.betainc(1.5, b, s2))
+    sin_band = 0.5 * (dim - 1) / dim * (
+        special.betainc(0.5, b + 1, c2) + special.betainc(0.5, b + 1, s2)
+    )
+    cross = (c2 ** (dim / 2) - s2 ** (dim / 2)) / (dim * special.beta(0.5, b))
+    return dim * (inside + c2 * cos_band + s2 * sin_band + math.sin(2 * a) * cross)
 
 
 def random_task(gen, dim, condition=100.0, epsilon=0.5):
@@ -241,6 +265,42 @@ class TestStatDim:
         stderr = sq.std(ddof=1) / math.sqrt(n)
         assert abs(sq.mean() - k) < 3 * stderr
 
+    @pytest.mark.parametrize("d", [2, 3, 10, 60, 400, 10_000])
+    def test_exact_polar_identity(self, d):
+        # delta(C) + delta(C polar) = D, and the polar of the a-cone is the
+        # mirror image of the (pi/2 - a)-cone; a = pi/4 is self-dual.
+        for deg in (1, 5, 20, 30, 44, 70, 89):
+            a = math.radians(deg)
+            total = statdim_cone(e1_cone(d, a)) + statdim_cone(e1_cone(d, math.pi / 2 - a))
+            assert abs(total - d) <= 1e-12 * d, (deg, total)
+        assert abs(statdim_cone(e1_cone(d, math.pi / 4)) - d / 2) <= 1e-12 * d
+
+    def test_exact_low_dimensions(self):
+        # D = 1: the ray, delta = 1/2. D = 2: theta is uniform on [0, pi].
+        for a in np.linspace(0.01, math.pi / 2 - 0.01, 20):
+            assert statdim_cone(e1_cone(1, a)) == 0.5
+            assert statdim_cone(e1_cone(2, a)) == pytest.approx(0.5 + 2 * a / math.pi, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 3, 60, 10_000])
+    def test_exact_increasing_in_angle(self, d):
+        vals = [statdim_cone(e1_cone(d, a)) for a in np.linspace(0.001, math.pi / 2 - 0.001, 200)]
+        assert all(x < y for x, y in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("d", [3, 60, 10_000])
+    def test_exact_matches_incomplete_beta(self, d):
+        for deg in (1, 5, 20, 30, 45, 70, 85, 89):
+            a = math.radians(deg)
+            got, ref = statdim_cone(e1_cone(d, a)), statdim_betainc(d, a)
+            assert abs(got - ref) <= 1e-11 * ref, (deg, got, ref)
+
+    @pytest.mark.parametrize("deg", [20, 30, 45, 85])
+    @pytest.mark.parametrize("d", [3, 20, 60])
+    def test_mc_cross_check(self, d, deg):
+        cone = e1_cone(d, math.radians(deg))
+        est, se = statdim_cone_mc(cone, d, 20_000, RngStream(49, 100 * d + deg))
+        z = (est - statdim_cone(cone)) / se
+        assert abs(z) <= 4, f"MC statdim is z = {z:+.2f} stderr from the exact value"
+
     def test_cone_mc_two_seeds_agree(self):
         axis = np.zeros(20)
         axis[0] = 1.0
@@ -292,10 +352,8 @@ class TestKinematics:
 
     def test_cone_extremes(self):
         d = 30
-        axis = np.zeros(d)
-        axis[0] = 1.0
-        cone = CircularCone(axis, math.radians(30))
-        statdim, _ = statdim_cone_mc(cone, d, 50_000, RngStream(45, 100))
+        cone = e1_cone(d, math.radians(30))
+        statdim = statdim_cone(cone)
         margin = 2 * math.ceil(math.sqrt(d))
         k_low = max(1, int(d - statdim - margin))
         k_high = min(d, int(d - statdim + margin))
