@@ -25,7 +25,7 @@ from . import geometry, merge, rht
 from .errors import MAX_SIZE, ConfigError, NumericError, require_real, require_size
 from .tensorio import RngStream
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 def _parse_json(text: str, what: str):
@@ -110,9 +110,6 @@ class ExperimentConfig:
             return ExperimentConfig(**d)
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
@@ -271,17 +268,22 @@ _SATURATION_COLUMNS = [
 ]
 
 
+def _uniform_merges(experts: np.ndarray) -> np.ndarray:
+    """Overwrite the (N, D) stack experts with its running means, allocating
+    no second stack: row n-1 becomes the uniform merge of the first n."""
+    np.cumsum(experts, axis=0, out=experts)
+    return np.divide(experts, np.arange(1.0, len(experts) + 1.0)[:, None], out=experts)
+
+
 def run_saturation(cfg: ExperimentConfig) -> Report:
     """Merge 1..N experts uniformly and record the saturation trajectory.
 
-    The experts are drawn once as an (N, D) stack; the n-expert merge is
-    one merge_linear call on the row prefix experts[:n], a view, so the
-    sweep copies no expert. Analytic columns come straight from the
-    variance law and Jensen width; var_mc is the empirical per-coordinate
-    variance of the merged vector. Expected loss uses
-    E[L] = 0.5 * var_per_coord * Tr(H).
+    The n-expert merge is row n-1 of the running means of one (N, D) draw.
+    Analytic columns come straight from the variance law and Jensen width;
+    var_mc is the empirical per-coordinate variance of the merged vector.
+    Expected loss uses E[L] = 0.5 * var_per_coord * Tr(H).
     """
-    experts = gen_experts(cfg)
+    merges = _uniform_merges(gen_experts(cfg))
     task = gen_quadratic_task(cfg)
     trace_h = float(np.sum(task.eigenvalues))
     n_vals = list(range(1, cfg.n_experts + 1))
@@ -297,9 +299,7 @@ def run_saturation(cfg: ExperimentConfig) -> Report:
     # An overflowing sigma2 makes var_mc or the redundancy distance inf;
     # emit_report rejects the report as a NumericError, so numpy need not warn.
     with np.errstate(over="ignore"):
-        for i, n in enumerate(n_vals):
-            w = merge.MergeWeights.uniform(n)
-            merged = merge.merge_linear(experts[:n], w)
+        for i, (n, merged) in enumerate(zip(n_vals, merges)):
             var_mc = float(merged.var())
             stderr = var_mc * math.sqrt(2.0 / max(cfg.dimension - 1, 1))
             width = geometry.width_jensen(task, min(n, cfg.dimension))
@@ -394,13 +394,11 @@ def run_rht_study(cfg: ExperimentConfig) -> Report:
     of variation, the coverage-proxy pair (gaussian vs rht samplers at a
     shared seed) and tail diagnostics of the last transformed delta.
     """
-    experts = gen_experts(cfg)
+    merged = _uniform_merges(gen_experts(cfg))
     task = gen_quadratic_task(cfg)
-    merged, transformed = [], []
-    for n in range(1, cfg.n_experts + 1):
-        merged.append(merge.merge_linear(experts[:n], merge.MergeWeights.uniform(n)))
-        transformed.append(rht.apply_rht(merged[-1], cfg.rht_params, RngStream(cfg.seed, 100 + n)))
-    offsets = np.stack(merged + transformed, axis=1) - task.theta_star[:, None]
+    p = cfg.rht_params
+    transformed = [rht.apply_rht(m, p, RngStream(cfg.seed, 100 + n)) for n, m in enumerate(merged, 1)]
+    offsets = np.stack([*merged, *transformed], axis=1) - task.theta_star[:, None]
     losses, cv = geometry.mean_rotated_losses(task.eigenvalues, offsets)
     rows = [
         [n, float(lb), float(lr), float(m.var()), float(t.var())]
@@ -409,7 +407,7 @@ def run_rht_study(cfg: ExperimentConfig) -> Report:
     net = rht.TinyNetSpec()
     cov_stream = RngStream(cfg.seed, 50)
     c1, range1 = rht.coverage_proxy(net, "gaussian", 2000, cov_stream)
-    c2, range2 = rht.coverage_proxy(net, "rht", 2000, cov_stream, rht_params=cfg.rht_params)
+    c2, range2 = rht.coverage_proxy(net, "rht", 2000, cov_stream, rht_params=p)
     diag = None
     if transformed[-1].size >= 10_000:
         diag = asdict(rht.tail_diagnostics(transformed[-1]))

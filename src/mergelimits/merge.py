@@ -48,8 +48,8 @@ def merge_linear(experts, w: MergeWeights) -> np.ndarray:
     """Componentwise convex combination sum_i alpha_i * theta_i.
 
     experts is an (n, D) stack, one expert per row, or a sequence of n
-    length-D vectors, validated once as a matrix. A float64 stack, or a
-    row prefix of one, is merged by one gemv without a copy.
+    length-D vectors, validated once as a matrix. A float64 stack is merged
+    by one gemv without a copy.
     """
     try:
         stack = as_matrix(experts)

@@ -99,9 +99,11 @@ def rht_inverse(y: float, p: RHTParams) -> float:
 def apply_rht(w: np.ndarray, p: RHTParams, stream: RngStream) -> np.ndarray:
     """Full pipeline: estimate (mu, sigma) from w, difference, then map.
 
-    A w whose std overflows is a NumericError, raised before any draw.
+    A w that is empty or whose std overflows is rejected before any draw.
     """
     w = as_pvec(w)
+    if w.size == 0:
+        raise ConfigError("cannot reparameterize an empty vector")
     with np.errstate(over="ignore"):
         mu = float(w.mean())
         sigma = float(w.std())

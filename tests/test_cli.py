@@ -3,6 +3,7 @@ import json
 import math
 import os
 import resource
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from mergelimits.tensorio import read_pvec, write_matrix, write_pvec
 def small_config(tmp_path):
     cfg = ExperimentConfig(seed=1, dimension=64, n_experts=3)
     path = tmp_path / "config.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(cfg.to_dict()))
     return str(path)
 
 
@@ -79,7 +80,7 @@ class TestGenExperts:
     def test_low_rank_files_are_library_experts(self, tmp_path):
         cfg = ExperimentConfig(seed=4, dimension=144, n_experts=3, rank=3, sigma2=2.0, rho=0.2)
         path = tmp_path / "config.json"
-        path.write_text(cfg.to_json())
+        path.write_text(json.dumps(cfg.to_dict()))
         out = tmp_path / "lr"
         assert run(["gen-experts", "--config", path, "--low-rank", "--out", out]) == 0
         for i, e in enumerate(gen_experts(cfg, low_rank=True)):
@@ -162,6 +163,14 @@ class TestRht:
         assert run(["rht", p, "--config", small_config, "--out", out]) == 0
         v = read_pvec(out / "rht.mmpv")
         assert v.size == 32 and np.all(np.isfinite(v))
+
+    def test_empty_vector_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "empty.mmpv"
+        p.write_bytes(b"MMPV" + struct.pack("<IQ", 1, 0))  # a well-formed dim-0 vector
+        out = tmp_path / "o"
+        assert run(["rht", p, "--out", out]) == 2
+        assert "empty vector" in capsys.readouterr().err
+        assert not (out / "rht.mmpv").exists()
 
 
 class TestWidth:
@@ -596,7 +605,7 @@ class TestRepeatedMain:
     def test_low_rank_does_not_carry_over(self, tmp_path):
         cfg = ExperimentConfig(seed=4, dimension=144, n_experts=2, rank=3)
         path = tmp_path / "config.json"
-        path.write_text(cfg.to_json())
+        path.write_text(json.dumps(cfg.to_dict()))
         assert run(["gen-experts", "--config", path, "--low-rank", "--out", tmp_path / "lr"]) == 0
         assert run(["gen-experts", "--config", path, "--out", tmp_path / "dense"]) == 0
         for i, e in enumerate(gen_experts(cfg)):

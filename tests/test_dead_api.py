@@ -4,10 +4,11 @@ method of those classes, has a reader; every option they default is set by one.
 A name counts as read when the package source outside its own definition,
 a demo script, or the acceptance tests refer to it: a function or class by
 any use of its name, a method only through an attribute access or an import
-alias (a local variable of the same name is not a read). An option is a
-defaulted parameter of a public function, method or class (dataclass fields
-included); it counts as set when a call in those places, outside the
-function's own body, passes it by keyword, by position, or through `*` or
+whose bound name the file then uses (a local variable of the same name, or
+an import left unused, is not a read). An option is a defaulted parameter
+of a public function, method or class (dataclass fields included); it
+counts as set when a call in those places, outside the function's own
+body, passes it by keyword, by position, or through `*` or
 `**` unpacking. Callees are matched by name. Unit tests alone do not count:
 code that only its own tests call is dead weight, and so is an option only
 they set. ALLOWED and ALLOWED_OPTIONS name the few exceptions, each with the
@@ -26,6 +27,7 @@ OUTSIDE = [ROOT / "tests" / "test_acceptance.py", *(ROOT / "demos").glob("*.py")
 ALLOWED = {
     "tensorio.write_matrix": "the way to write the MMMX input that `subspace` reads",
     "geometry.QuadraticTask.sample_sublevel": "perfbench traces it until ROADMAP item 6",
+    "geometry.haar_orthogonal": "perfbench traces it and its self-test binds it (ROADMAP item 6)",
     "geometry.QuadraticTask.loss": "the fixed-basis reference of the closed-form cross-check "
     "of mean_rotated_losses (TestRotatedLosses)",
 }
@@ -41,9 +43,9 @@ def _parse(path: Path) -> ast.Module:
 
 
 def _referenced(tree: ast.AST, skip: ast.AST | None = None) -> tuple[set, set]:
-    """(bare names, attributes and import aliases) used in tree, leaving out
-    the subtree skip."""
-    bare, dotted, todo = set(), set(), [tree]
+    """(bare names, attributes and used imports) in tree, leaving out the
+    subtree skip. An import counts only if its bound name is used."""
+    bare, dotted, aliases, todo = set(), set(), [], [tree]
     while todo:
         node = todo.pop()
         if node is skip:
@@ -53,8 +55,9 @@ def _referenced(tree: ast.AST, skip: ast.AST | None = None) -> tuple[set, set]:
         elif isinstance(node, ast.Attribute):
             dotted.add(node.attr)
         elif isinstance(node, ast.alias):
-            dotted.add(node.name)
+            aliases.append(node)
         todo.extend(ast.iter_child_nodes(node))
+    dotted |= {a.name for a in aliases if (a.asname or a.name.split(".")[0]) in bare}
     return bare, dotted
 
 

@@ -14,6 +14,7 @@ from mergelimits.experiments import (
     ExperimentConfig,
     Report,
     SpectrumDescriptor,
+    _uniform_merges,
     emit_report,
     gen_experts,
     gen_quadratic_task,
@@ -44,7 +45,7 @@ class TestSpectrumDescriptor:
 class TestExperimentConfig:
     def test_json_roundtrip_lossless(self):
         cfg = ExperimentConfig(seed=7, rho=0.3, spectrum=SpectrumDescriptor("geometric", 50.0))
-        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+        assert ExperimentConfig.from_json(json.dumps(cfg.to_dict())) == cfg
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
@@ -197,6 +198,55 @@ class TestGenQuadraticTask:
         assert drawn == [(seed, 2)]
         assert np.array_equal(task.theta_star, theta_star)
         assert task.basis is None
+
+
+# (D, N), with N = 1, D = 1 and N > D among them.
+_MERGE_SHAPES = [(1, 1), (1, 7), (3, 50), (500, 10), (3000, 10), (3000, 200), (4096, 64)]
+
+
+class TestUniformMerges:
+    @pytest.mark.parametrize("dim, n", _MERGE_SHAPES)
+    def test_rows_are_prefix_means(self, dim, n):
+        for seed in range(5):
+            experts = gen_experts(ExperimentConfig(seed=seed, dimension=dim, n_experts=n))
+            merges = _uniform_merges(experts.copy())
+            for k in range(1, n + 1):
+                assert np.array_equal(merges[k - 1], experts[:k].mean(axis=0))
+
+    def test_in_place_with_no_second_stack(self):
+        experts = gen_experts(ExperimentConfig(seed=1, dimension=3000, n_experts=200))
+        tracemalloc.start()
+        try:
+            merges = _uniform_merges(experts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert merges is experts
+        assert peak < experts.nbytes / 10
+
+    # (1, 50): at D = 1 numpy's mean sums pairwise, so only this bound holds there.
+    @pytest.mark.parametrize("dim, n", [*_MERGE_SHAPES, (1, 50)])
+    def test_within_ulps_of_weighted_gemv(self, dim, n):
+        experts = gen_experts(ExperimentConfig(seed=dim + n, dimension=dim, n_experts=n))
+        merges = _uniform_merges(experts.copy())
+        eps = np.finfo(np.float64).eps
+        for k in range(1, n + 1):
+            gemv = merge.merge_linear(experts[:k], merge.MergeWeights.uniform(k))
+            bound = 2 * k * eps * np.abs(experts[:k]).max(axis=0)
+            assert np.all(np.abs(merges[k - 1] - gemv) <= bound)
+
+    def test_sweeps_take_no_weighted_merge(self, monkeypatch):
+        def no_merge(*args, **kwargs):
+            raise AssertionError("a sweep merged a prefix through merge_linear")
+
+        monkeypatch.setattr(merge, "merge_linear", no_merge)
+        monkeypatch.setattr(merge.MergeWeights, "uniform", staticmethod(no_merge))
+        cfg = ExperimentConfig(seed=9, dimension=100, n_experts=6)
+        experts = gen_experts(cfg)
+        sat, study = run_saturation(cfg), run_rht_study(cfg)
+        for n, (sat_row, study_row) in enumerate(zip(sat.rows, study.rows), 1):
+            var = float(experts[:n].mean(axis=0).var())
+            assert sat_row[2] == var and study_row[3] == var
 
 
 class TestRunSaturation:
@@ -358,7 +408,7 @@ class TestRunRhtStudy:
         task = gen_quadratic_task(cfg)
         lam_mean = float(task.eigenvalues.mean())
         for n, row in enumerate(rep.rows, 1):
-            m = merge.merge_linear(experts[:n], merge.MergeWeights.uniform(n))
+            m = experts[:n].mean(axis=0)
             t = rht.apply_rht(m, cfg.rht_params, RngStream(cfg.seed, 100 + n))
             dm = float(np.sum((m - task.theta_star) ** 2))
             dt = float(np.sum((t - task.theta_star) ** 2))

@@ -124,7 +124,8 @@ def argv_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("argv-inputs")
     write_pvec(np.linspace(-1, 1, 16), d / "v.mmpv")
     write_matrix(np.arange(12.0).reshape(3, 4) ** 2, d / "m.mmmx")
-    (d / "cfg.json").write_text(ExperimentConfig(seed=1, dimension=16, n_experts=3, rank=2).to_json())
+    cfg = ExperimentConfig(seed=1, dimension=16, n_experts=3, rank=2)
+    (d / "cfg.json").write_text(json.dumps(cfg.to_dict()))
     (d / "r.json").write_text(Report("demo", ["a"], [[1]], {}).to_json())
     (d / "junk.mmpv").write_bytes(b"MMPV\x01\x00\x00\x00\xff")
     (d / "junk.json").write_text('{"seed": ')

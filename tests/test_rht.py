@@ -172,6 +172,14 @@ class TestApply:
         with pytest.raises(NumericError, match="non-finite std"):
             apply_rht(w, RHTParams(), NoDraws())
 
+    def test_empty_vector_rejected_before_drawing(self):
+        class NoDraws:
+            def generator(self):
+                raise AssertionError("drew noise for an empty w")
+
+        with pytest.raises(ConfigError, match="empty vector"):
+            apply_rht(np.zeros(0), RHTParams(), NoDraws())
+
 
 class TestDensity:
     def test_symmetry(self):
