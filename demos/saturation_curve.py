@@ -2,8 +2,11 @@
 
 Walks the core story end to end: sample equicorrelated experts, merge
 1..N of them uniformly, and watch the variance of the merged parameters
-saturate at sigma^2 * rho instead of vanishing. The adaptive stop and the
-closed-form merge-count bound agree on where to quit.
+saturate at sigma^2 * rho instead of vanishing. The two stops answer
+different questions. The successive-gain stop keeps experts until the next
+one cuts the variance by less than delta. The closed-form bound n_max counts
+the experts that leave the variance at least delta above its limit, which is
+where the distance-to-limit stop falls (past the ten merged here).
 
 Run from the repository root:
 

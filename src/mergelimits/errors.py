@@ -29,10 +29,8 @@ class NumericError(MergeLimitsError):
 class FormatError(MergeLimitsError):
     """Malformed binary file (bad magic, truncation, size mismatch)."""
 
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
-            message = f"{message} (at byte offset {offset})"
-        super().__init__(message)
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (at byte offset {offset})")
         self.offset = offset
 
 

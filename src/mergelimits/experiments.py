@@ -351,8 +351,6 @@ def run_kinematics(
     if dim < 1:
         raise ConfigError(f"dim must be >= 1, got {dim}")
     k_values = list(k_values)
-    if not k_values:
-        raise ConfigError("k_values is empty")
     if (half_angle is None) == (subspace_dim is None):
         raise ConfigError("give exactly one of half_angle or subspace_dim")
     if half_angle is not None:

@@ -115,15 +115,13 @@ def width_mc(task: QuadraticTask, samples: int, stream: RngStream) -> tuple[floa
         raise ConfigError(f"need >= 1000 samples, got {samples}")
     require_size(samples, task.dim, "samples x dimension")
     g = stream.generator().normal(size=(samples, task.dim))
-    vals = math.sqrt(2.0 * task.epsilon) * np.sqrt((g * g) @ (1.0 / task.eigenvalues))
+    vals = math.sqrt(2.0 * task.epsilon) * np.sqrt(np.square(g, out=g) @ (1.0 / task.eigenvalues))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
-def marginal_gains(task: QuadraticTask, up_to_m: int | None = None) -> np.ndarray:
+def marginal_gains(task: QuadraticTask, up_to_m: int) -> np.ndarray:
     """Width increments Delta w_M = w(S_M) - w(S_{M-1}), with w(S_0) = 0."""
     d = task.dim
-    if up_to_m is None:
-        up_to_m = d
     if not 1 <= up_to_m <= d:
         raise ConfigError(f"up_to_m must be in [1, {d}], got {up_to_m}")
     partial = np.cumsum(1.0 / task.eigenvalues[:up_to_m])
@@ -193,12 +191,7 @@ def statdim_cone_mc(cone: CircularCone, dim: int, samples: int, stream: RngStrea
         raise ConfigError(f"dim {dim} disagrees with cone axis dim {cone.axis.size}")
     g = stream.generator().normal(size=(samples, dim))
     t = g @ cone.axis
-    # g becomes its component orthogonal to the axis, then its square, in
-    # place: only the axis's nonzero coordinates change, and no samples x dim
-    # temporary is made.
-    for j in np.flatnonzero(cone.axis):
-        g[:, j] -= t * cone.axis[j]
-    rho = np.sqrt(np.square(g, out=g).sum(axis=1))
+    rho = np.linalg.norm(g - np.outer(t, cone.axis), axis=1)
     tan_a = math.tan(cone.half_angle)
     # |Pi(g)|^2: inside -> |g|^2; polar (dot <= 0) -> 0; else boundary ray.
     inside = rho <= t * tan_a

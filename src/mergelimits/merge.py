@@ -55,6 +55,8 @@ def merge_linear(experts, w: MergeWeights) -> np.ndarray:
         stack = as_matrix(experts)
     except ValueError as e:  # vectors of unequal length stack to no array
         raise ConfigError("experts must share one dimension") from e
+    if stack.shape[1] == 0:
+        raise ConfigError("no parameters: the experts are empty vectors")
     if stack.shape[0] != len(w):
         raise ConfigError(f"{stack.shape[0]} experts but {len(w)} weights")
     return w.alphas @ stack

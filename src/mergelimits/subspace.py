@@ -85,13 +85,12 @@ def band_counts(singular_values: np.ndarray) -> np.ndarray:
     return np.bincount(idx, minlength=N_LOG_BANDS + 2).astype(np.int64)
 
 
-def spectrum_report(singular_values: np.ndarray, shape=None) -> SpectrumReport:
-    """Report on the singular values of a matrix of shape (rows, cols), square
-    if omitted. rank counts the values above numpy.linalg.matrix_rank's
-    tolerance sigma_max * max(rows, cols) * eps, so round-off does not count."""
+def spectrum_report(singular_values: np.ndarray, shape) -> SpectrumReport:
+    """Report on the singular values of a matrix of shape (rows, cols). rank
+    counts the values above numpy.linalg.matrix_rank's tolerance
+    sigma_max * max(rows, cols) * eps, so round-off does not count."""
     sv = np.sort(np.asarray(singular_values, dtype=np.float64))[::-1]
-    side = max(shape) if shape is not None else sv.size
-    rank = int(np.sum(sv > sv[0] * side * np.finfo(np.float64).eps)) if sv.size else 0
+    rank = int(np.sum(sv > sv[0] * max(shape) * np.finfo(np.float64).eps)) if sv.size else 0
     with np.errstate(over="ignore"):
         power = sv * sv
     total = power.sum()

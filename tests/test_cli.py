@@ -146,6 +146,14 @@ class TestMerge:
         assert "experts must share one dimension" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_vectors_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "empty.mmpv"
+        p.write_bytes(b"MMPV" + struct.pack("<IQ", 1, 0))  # a well-formed dim-0 vector
+        out = tmp_path / "m"
+        assert run(["merge", p, p, "--out", out]) == 2
+        assert "empty vectors" in capsys.readouterr().err
+        assert not (out / "merged.mmpv").exists()
+
     def test_missing_file_exit_4(self, tmp_path):
         assert run(["merge", tmp_path / "nope.mmpv", "--out", tmp_path]) == 4
 

@@ -1,5 +1,6 @@
 """Every public top-level function and class of mergelimits, and every public
-method of those classes, has a reader; every option they default is set by one.
+method of those classes, has a reader; every option they default is set by
+one, and every option that defaults to None is left unset by one.
 
 A name counts as read when the package source outside its own definition,
 a demo script, or the acceptance tests refer to it: a function or class by
@@ -9,10 +10,13 @@ an import left unused, is not a read). An option is a defaulted parameter
 of a public function, method or class (dataclass fields included); it
 counts as set when a call in those places, outside the function's own
 body, passes it by keyword, by position, or through `*` or
-`**` unpacking. Callees are matched by name. Unit tests alone do not count:
-code that only its own tests call is dead weight, and so is an option only
-they set. ALLOWED and ALLOWED_OPTIONS name the few exceptions, each with the
-reason it stays.
+`**` unpacking. A None default means "work the value out here", so such an
+option must also have a call that leaves it: one that omits it or unpacks
+`*` or `**`; when every call passes the value, the branch that works it out
+is dead. Callees are matched by name. Unit tests alone do not count: code
+that only its own tests call is dead weight, and so is an option only they
+set or only they leave. ALLOWED, ALLOWED_OPTIONS and ALLOWED_NONE_DEFAULTS
+name the few exceptions, each with the reason it stays.
 """
 
 import ast
@@ -35,6 +39,11 @@ ALLOWED = {
 ALLOWED_OPTIONS = {
     "cli.main(argv)": "the console entry point calls main(); tests pass argv",
     "geometry.QuadraticTask.sample_sublevel(n)": "perfbench traces it until ROADMAP item 6",
+}
+
+ALLOWED_NONE_DEFAULTS = {
+    "experiments.run_kinematics(half_angle)": "cmd_kinematics forwards --half-angle-deg, "
+    "which is None for a subspace sweep",
 }
 
 
@@ -97,14 +106,14 @@ def _decorators(node) -> set:
 
 
 def _options(node, method: bool):
-    """(option, position or None if keyword-only) of each defaulted
+    """(option, position or None if keyword-only, default) of each defaulted
     parameter a call to node can pass."""
     if isinstance(node, ast.ClassDef):
         if "dataclass" in _decorators(node):
             fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
             for i, f in enumerate(fields):
                 if f.value is not None:
-                    yield f.target.id, i
+                    yield f.target.id, i, f.value
         else:
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and item.name == "__init__":
@@ -116,11 +125,12 @@ def _options(node, method: bool):
     positional = a.posonlyargs + a.args
     first_default = len(positional) - len(a.defaults)
     drop = 1 if method and "staticmethod" not in _decorators(node) else 0
-    for i, arg in enumerate(positional[first_default:], first_default):
-        yield arg.arg, i - drop
+    defaulted = zip(positional[first_default:], a.defaults)
+    for i, (arg, default) in enumerate(defaulted, first_default):
+        yield arg.arg, i - drop, default
     for arg, default in zip(a.kwonlyargs, a.kw_defaults):
         if default is not None:
-            yield arg.arg, None
+            yield arg.arg, None, default
 
 
 def _calls(tree: ast.AST, skip: ast.AST | None = None):
@@ -146,20 +156,27 @@ def _passes(call: ast.Call, option: str, position: int | None) -> bool:
     return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
 
 
-def _unset_options() -> set:
+def _leaves(call: ast.Call, option: str, position: int | None) -> bool:
+    """Whether call may leave option at its default: it omits it or unpacks."""
+    if any(k.arg is None for k in call.keywords) or any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    named = any(k.arg == option for k in call.keywords)
+    return not named and (position is None or len(call.args) <= position)
+
+
+def _option_calls():
+    """(qualified option, option, position, default, calls) of each option,
+    with the calls outside its own definition that name its callee."""
     src = {p.stem: _parse(p) for p in SRC.glob("*.py")}
     outside = [call for p in OUTSIDE for call in _calls(_parse(p))]
-    unset = set()
     for stem, tree in src.items():
         for name, node, method in _public_defs(stem, tree):
             # A class's own methods that build it (from_dict, from_json) are callers.
             skip = None if isinstance(node, ast.ClassDef) else node
             inside = [c for t in src.values() for c in _calls(t, skip)]
             calls = [call for callee, call in outside + inside if callee == node.name]
-            for option, position in _options(node, method):
-                if not any(_passes(c, option, position) for c in calls):
-                    unset.add(f"{name}({option})")
-    return unset
+            for option, position, default in _options(node, method):
+                yield f"{name}({option})", option, position, default, calls
 
 
 def test_every_public_name_has_a_reader():
@@ -167,4 +184,20 @@ def test_every_public_name_has_a_reader():
 
 
 def test_every_option_is_set_by_a_reader():
-    assert _unset_options() == set(ALLOWED_OPTIONS)
+    unset = {
+        q
+        for q, option, position, _, calls in _option_calls()
+        if not any(_passes(c, option, position) for c in calls)
+    }
+    assert unset == set(ALLOWED_OPTIONS)
+
+
+def test_every_none_default_is_left_by_a_caller():
+    always_passed = {
+        q
+        for q, option, position, default, calls in _option_calls()
+        if isinstance(default, ast.Constant)
+        and default.value is None
+        and not any(_leaves(c, option, position) for c in calls)
+    }
+    assert always_passed == set(ALLOWED_NONE_DEFAULTS)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,18 @@ class TestWidthMC:
             mc, se = width_mc(task, 2000, RngStream(41, 10 + trial))
             assert mc <= width_jensen(task, dim) + 3 * se
 
+    def test_squares_its_draw_in_place(self):
+        # The draw is squared where it lies: one samples x D array, not two.
+        samples, d = 20_000, 500
+        task = identity_task(d)
+        tracemalloc.start()
+        try:
+            width_mc(task, samples, RngStream(41, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * samples * d * 8
+
 
 class TestMarginalGains:
     def test_unit_spectrum(self):
@@ -313,8 +326,8 @@ class TestStatDim:
 
     @pytest.mark.parametrize("axis_kind", ["e1", "generic"])
     def test_matches_unfused_formula(self, axis_kind):
-        # The in-place projection gives the bits of g - outer(t, axis) and
-        # np.linalg.norm, written out here as the reference.
+        # The projection g - outer(t, axis) and np.linalg.norm, written out
+        # here as the bitwise reference.
         d, n = 30, 5000
         if axis_kind == "e1":
             axis = np.zeros(d)

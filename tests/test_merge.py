@@ -51,6 +51,12 @@ class TestMergeLinear:
         with pytest.raises(ConfigError, match=f"{n_experts} experts but 3 weights"):
             merge_linear(np.ones((n_experts, 5)), MergeWeights.uniform(3))
 
+    def test_empty_vectors_rejected(self):
+        with pytest.raises(ConfigError, match="empty vectors"):
+            merge_linear(np.zeros((2, 0)), MergeWeights.uniform(2))
+        with pytest.raises(ConfigError, match="empty vectors"):
+            merge_linear([np.zeros(0), np.zeros(0)], MergeWeights.uniform(2))
+
     def test_three_dimensional_input(self):
         with pytest.raises(ConfigError, match="2-D"):
             merge_linear(np.ones((2, 3, 4)), MergeWeights.uniform(2))

@@ -85,21 +85,21 @@ class TestBandCounts:
 class TestSpectrumReport:
     def test_fractions_sum_to_one(self):
         gen = RngStream(61, 0).generator()
-        rep = spectrum_report(np.abs(gen.normal(size=40)))
+        rep = spectrum_report(np.abs(gen.normal(size=40)), (40, 40))
         assert rep.explained_fractions.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(np.diff(rep.singular_values) <= 0)
 
     def test_band_fractions(self):
-        rep = spectrum_report(np.array([2.0, 0.5]))
+        rep = spectrum_report(np.array([2.0, 0.5]), (2, 2))
         assert rep.band_fractions[0] == pytest.approx(0.5)
         assert rep.band_fractions[1] == pytest.approx(0.5)
 
     def test_degenerate_all_zero(self):
-        rep = spectrum_report(np.zeros(4))
+        rep = spectrum_report(np.zeros(4), (4, 4))
         assert rep.degenerate and rep.rank == 0
 
     def test_rank_counts_nonzeros(self):
-        rep = spectrum_report(np.array([3.0, 1.0, 0.0, 0.0]))
+        rep = spectrum_report(np.array([3.0, 1.0, 0.0, 0.0]), (4, 4))
         assert rep.rank == 2
 
     def test_rank_ignores_round_off_singular_values(self):
@@ -121,7 +121,7 @@ class TestSpectrumReport:
     def test_rank_tolerance_scales_with_the_longer_side(self):
         eps = np.finfo(np.float64).eps
         sv = np.array([1.0, 3.5 * eps])
-        assert spectrum_report(sv).rank == 2
+        assert spectrum_report(sv, (2, 2)).rank == 2
         assert spectrum_report(sv, (2, 3)).rank == 2
         assert spectrum_report(sv, (2, 4)).rank == 1
 
@@ -167,11 +167,11 @@ class TestPCAExplained:
 
 class TestComponentsForThreshold:
     def test_single_component(self):
-        rep = spectrum_report(np.array([1.0, 0.0, 0.0]))
+        rep = spectrum_report(np.array([1.0, 0.0, 0.0]), (3, 3))
         assert components_for_threshold(rep, 0.999) == 1
 
     def test_even_split(self):
-        rep = spectrum_report(np.array([1.0, 1.0]))
+        rep = spectrum_report(np.array([1.0, 1.0]), (2, 2))
         assert components_for_threshold(rep, 0.5) == 1
         assert components_for_threshold(rep, 0.51) == 2
         assert components_for_threshold(rep, 1.0) == 2
@@ -184,13 +184,13 @@ class TestComponentsForThreshold:
         assert components_for_threshold(rep, 0.999) <= r
 
     def test_bad_inputs(self):
-        rep = spectrum_report(np.array([1.0]))
+        rep = spectrum_report(np.array([1.0]), (1, 1))
         with pytest.raises(ConfigError):
             components_for_threshold(rep, 0.0)
         with pytest.raises(ConfigError):
             components_for_threshold(rep, 1.5)
         with pytest.raises(ConfigError):
-            components_for_threshold(spectrum_report(np.zeros(3)), 0.9)
+            components_for_threshold(spectrum_report(np.zeros(3), (3, 3)), 0.9)
 
 
 class TestPrincipalAngles:
