@@ -281,46 +281,36 @@ def run_saturation(cfg: ExperimentConfig) -> Report:
     The n-expert merge is row n-1 of the running means of one (N, D) draw.
     Analytic columns come straight from the variance law and Jensen width;
     var_mc is the empirical per-coordinate variance of the merged vector.
-    Expected loss uses E[L] = 0.5 * var_per_coord * Tr(H).
+    Expected loss uses E[L] = 0.5 * var_per_coord * Tr(H). Both stops are
+    trace indices read off nmax = merge.n_max, not searched for: the gap
+    trace[i] - limit = sigma^2 (1 - rho)/(i + 1) first drops below delta at
+    i = nmax, the gain trace[i-1] - trace[i] = sigma^2 (1 - rho)/(i (i + 1))
+    at the least i >= 1 with i (i + 1) > nmax. A stop not below N is None.
     """
     merges = _uniform_merges(gen_experts(cfg))
     task = gen_quadratic_task(cfg)
     trace_h = float(np.sum(task.eigenvalues))
-    n_vals = list(range(1, cfg.n_experts + 1))
-    trace = [merge.merged_variance_equicorrelated(cfg.sigma2, cfg.rho, n) for n in n_vals]
-    limit = merge.variance_limit(cfg.sigma2, cfg.rho)
-    stop_succ = merge.termination_check(trace, cfg.delta)
-    stop_dist = merge.termination_check(trace, cfg.delta, limit)
+    n_total, d = cfg.n_experts, cfg.dimension
+    trace = [merge.merged_variance_equicorrelated(cfg.sigma2, cfg.rho, n) for n in range(1, n_total + 1)]
     nmax = merge.n_max(cfg.sigma2, cfg.rho, cfg.delta)
-    up_to = min(cfg.n_experts, cfg.dimension)
-    gains = geometry.marginal_gains(task, up_to)
-
-    rows = []
+    succ = (math.isqrt(4 * nmax + 1) - 1) // 2 + 1  # the largest j with j (j + 1) <= nmax, plus 1
+    stop_succ, stop_dist = (i if i < n_total else None for i in (succ, nmax))
+    gains = np.zeros(n_total)
+    gains[: min(n_total, d)] = geometry.marginal_gains(task, min(n_total, d))
     # An overflowing sigma2 makes var_mc or the redundancy distance inf;
     # emit_report rejects the report as a NumericError, so numpy need not warn.
     with np.errstate(over="ignore"):
-        for i, (n, merged) in enumerate(zip(n_vals, merges)):
-            var_mc = float(merged.var())
-            stderr = var_mc * math.sqrt(2.0 / max(cfg.dimension - 1, 1))
-            width = geometry.width_jensen(task, min(n, cfg.dimension))
-            gain = float(gains[i]) if i < up_to else 0.0
-            rows.append(
-                [
-                    n,
-                    trace[i],
-                    var_mc,
-                    stderr,
-                    0.5 * trace[i] * trace_h,
-                    width,
-                    gain,
-                    stop_succ is not None and n >= stop_succ,
-                    stop_dist is not None and i >= stop_dist,
-                    bool(geometry.redundancy_bound_check(task, merged, min(n, cfg.dimension - 1))),
-                ]
-            )
+        var_mc = merges.var(axis=1).tolist()
+        ok = [geometry.redundancy_bound_check(task, m, min(n, d - 1)) for n, m in enumerate(merges, 1)]
+    se = math.sqrt(2.0 / max(d - 1, 1))
+    rows = [
+        [n, v, mc, mc * se, 0.5 * v * trace_h, geometry.width_jensen(task, min(n, d)), g,
+         stop_succ is not None and n >= stop_succ, stop_dist is not None and n > stop_dist, r]
+        for n, v, mc, g, r in zip(range(1, n_total + 1), trace, var_mc, gains.tolist(), ok)
+    ]
     extra = {
         "n_max": nmax,
-        "variance_limit": limit,
+        "variance_limit": merge.variance_limit(cfg.sigma2, cfg.rho),
         "stop_n_successive": stop_succ,
         "stop_index_distance": stop_dist,
         "trace_h": trace_h,

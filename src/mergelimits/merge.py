@@ -3,7 +3,9 @@
 Covers the convex combination of expert parameter vectors, the uniform-weight
 merged variance sigma^2 * (rho + (1 - rho)/n) of equicorrelated experts, the
 limiting value sigma^2 * rho, the merge-count upper bound
-floor(sigma^2 * (1 - rho) / delta), and stopping rules on a variance trace.
+floor(sigma^2 * (1 - rho) / delta), whose closed forms give both merge-count
+stops (distance to the limit: trace index n_max; successive gain: the least
+i >= 1 with i (i + 1) > n_max), and the successive-gain search of a trace.
 """
 
 from __future__ import annotations
@@ -80,11 +82,12 @@ def variance_limit(sigma2: float, rho: float) -> float:
 
 
 def n_max(sigma2: float, rho: float, delta: float) -> int:
-    """Largest n such that each merged expert still cuts variance by >= delta.
+    """Last n whose merged variance stays at least delta above its limit.
 
-    floor(sigma2 * (1 - rho) / delta); 0 means the requested margin is
-    unattainable. A tiny relative slack keeps exact boundaries (e.g.
-    0.5 / 0.1) from flooring one short.
+    floor(sigma2 * (1 - rho) / delta), as the gap is sigma2 (1 - rho) / n;
+    0 means the margin is unattainable. One more expert cuts less than the
+    gap, sigma2 (1 - rho) / (n (n + 1)). A tiny relative slack keeps exact
+    boundaries (e.g. 0.5 / 0.1) from flooring one short.
     """
     if not sigma2 > 0:
         raise ConfigError(f"sigma2 must be > 0, got {sigma2}")
@@ -98,22 +101,15 @@ def n_max(sigma2: float, rho: float, delta: float) -> int:
     return int(math.floor(x))
 
 
-def termination_check(
-    variance_trace: Sequence[float], delta: float, limit: Optional[float] = None
-) -> Optional[int]:
-    """First trace index at which merging should stop, or None.
+def termination_check(variance_trace: Sequence[float], delta: float) -> Optional[int]:
+    """First trace index i >= 1 with trace[i-1] - trace[i] < delta, or None.
 
-    Without a limit, successive gain: the first i >= 1 with
-    trace[i-1] - trace[i] < delta. With one, distance to that limit: the
-    first i with trace[i] - limit < delta.
+    The successive-gain stop by search; run_saturation reads it off n_max.
     """
     if not delta > 0:
         raise ConfigError(f"delta must be > 0, got {delta}")
     trace = np.asarray(variance_trace, dtype=np.float64)
     if trace.size == 0:
         raise ConfigError("variance trace must be non-empty")
-    if limit is None:
-        hits = np.nonzero(trace[:-1] - trace[1:] < delta)[0] + 1
-    else:
-        hits = np.nonzero(trace - float(limit) < delta)[0]
+    hits = np.nonzero(trace[:-1] - trace[1:] < delta)[0] + 1
     return int(hits[0]) if hits.size else None

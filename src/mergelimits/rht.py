@@ -155,8 +155,11 @@ class TailReport:
 
 def tail_diagnostics(samples: np.ndarray) -> TailReport:
     """Excess kurtosis, and the Hill tail exponent with its stderr over the
-    top 5 % of |samples| (k >= 500 of them behind the 10^4-sample floor)."""
-    from scipy import stats
+    top 5 % of |samples| (k >= 500 of them behind the 10^4-sample floor).
+    The kurtosis has the bits of scipy.stats.kurtosis (scipy 1.17's order of
+    operations) without importing scipy.stats; samples that are one value to
+    rounding, where scipy warns of cancellation or returns NaN, are a
+    NumericError."""
     x = as_pvec(samples)
     if x.size < 10_000:
         raise ConfigError(f"need >= 10^4 samples, got {x.size}")
@@ -169,10 +172,15 @@ def tail_diagnostics(samples: np.ndarray) -> TailReport:
     if mean_log <= 0:
         raise NumericError("degenerate tail: all top order statistics equal")
     hill = 1.0 / mean_log
-    # After the tail checks, so a constant input is a NumericError, not a
-    # moment-cancellation warning from scipy.
-    kurt = float(stats.kurtosis(x, fisher=True))
-    return TailReport(kurt, hill, hill / math.sqrt(k))
+    mean = x.mean()
+    d = x - mean
+    tiny = np.finfo(np.float64).eps * abs(mean)
+    lost = max(d.max(), -d.min()) < 10.0 * tiny  # scipy warns of cancellation
+    m2 = np.square(d, out=d).mean()
+    if lost or m2 <= tiny**2:  # or returns NaN
+        raise NumericError("moments lost to cancellation: the samples are one value to rounding")
+    m4 = np.square(d, out=d).mean()
+    return TailReport(float(m4 / m2**2.0 - 3), hill, hill / math.sqrt(k))
 
 
 class TinyNetSpec:

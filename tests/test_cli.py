@@ -64,6 +64,26 @@ def test_cone_kinematics_loads_no_scipy(tmp_path):
     assert (tmp_path / "kinematics.csv").exists()
 
 
+def test_rht_study_loads_no_scipy_stats(tmp_path):
+    # The tail kurtosis is numpy: importing scipy.stats alone takes longer
+    # than the whole D = 10^4 study.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dimension": 10_000, "n_experts": 6}))
+    argv = ["rht-study", "--config", str(config), "--format", "json", "--out", str(tmp_path)]
+    code = (
+        f"import sys, mergelimits.cli; code = mergelimits.cli.main({argv!r}); "
+        "print(code, 'scipy.stats' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mergelimits.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+    rep = Report.from_json((tmp_path / "rht_study.json").read_text())
+    assert rep.extra["tail_diagnostics"] is not None
+
+
 class TestGenExperts:
     def test_writes_expert_files(self, tmp_path, small_config, capsys):
         out = tmp_path / "experts"
@@ -235,6 +255,19 @@ class TestSaturate:
         text = (out / "saturation.csv").read_text()
         assert text.startswith("# kind: saturation")
         assert (out / "saturation.svg").exists()
+
+    @pytest.mark.parametrize(
+        "cfg, stops",
+        [({"rho": 1.0}, (1, 0)), ({"n_experts": 1}, (None, None)), ({"dimension": 1}, (3, None))],
+        ids=["rho-1", "one-expert", "one-dimension"],
+    )
+    def test_edge_configs_exit_0(self, tmp_path, cfg, stops):
+        # rho = 1 leaves no margin above the limit (n_max 0), so both stops fall at once.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["saturate", "--config", path, "--format", "json", "--out", tmp_path]) == 0
+        extra = Report.from_json((tmp_path / "saturation.json").read_text()).extra
+        assert (extra["stop_n_successive"], extra["stop_index_distance"]) == stops
 
     def test_missing_config_exit_4(self, tmp_path):
         assert run(["saturate", "--config", tmp_path / "nope.json", "--out", tmp_path]) == 4

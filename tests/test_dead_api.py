@@ -34,6 +34,8 @@ ALLOWED = {
     "geometry.haar_orthogonal": "perfbench traces it and its self-test binds it (ROADMAP item 6)",
     "geometry.QuadraticTask.loss": "the fixed-basis reference of the closed-form cross-check "
     "of mean_rotated_losses (TestRotatedLosses)",
+    "merge.termination_check": "perfbench traces it until ROADMAP item 6, and it is the "
+    "brute-force reference of run_saturation's closed-form stops (TestSaturationStops)",
 }
 
 ALLOWED_OPTIONS = {

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,76 @@ class TestRunSaturation:
         cfg = ExperimentConfig(seed=0, dimension=500, n_experts=10, rho=0.5, delta=0.05)
         committed = Path(__file__).parents[1] / "demos" / "out" / "saturation.csv"
         assert run_saturation(cfg).to_csv().encode() == committed.read_bytes()
+
+
+def _exact_stops(sigma2, rho, delta, n_total):
+    """(successive, distance) stop indices, by scanning the trace
+    sigma2 (rho + (1 - rho)/n) in exact rational arithmetic."""
+    trace = [sigma2 * (rho + (1 - rho) / Fraction(n)) for n in range(1, n_total + 1)]
+    succ = next((i for i in range(1, n_total) if trace[i - 1] - trace[i] < delta), None)
+    dist = next((i for i, v in enumerate(trace) if v - sigma2 * rho < delta), None)
+    return succ, dist
+
+
+class TestSaturationStops:
+    """run_saturation reads both stops off n_max; these tests search the trace."""
+
+    def test_match_float_search_off_the_boundaries(self):
+        # Away from an integer sigma2 (1 - rho) / delta, rounding cannot move
+        # either stop, so the float search of the trace is the reference.
+        gen = RngStream(80, 0).generator()
+        checked = 0
+        while checked < 5000:
+            n_total = int(gen.integers(2, 21))
+            sigma2, rho = float(gen.uniform(0.1, 10.0)), float(gen.uniform(0.0, 0.9))
+            delta = sigma2 * (1 - rho) / math.exp(gen.uniform(math.log(0.1), 2 * math.log(n_total)))
+            x = sigma2 * (1 - rho) / delta
+            if abs(x - round(x)) <= 1e-9:
+                continue
+            cfg = ExperimentConfig(dimension=1, n_experts=n_total, sigma2=sigma2, rho=rho, delta=delta)
+            rep = run_saturation(cfg)
+            trace = [row[1] for row in rep.rows]
+            below = np.nonzero(np.asarray(trace) - rep.extra["variance_limit"] < delta)[0]
+            assert rep.extra["stop_n_successive"] == merge.termination_check(trace, delta)
+            assert rep.extra["stop_index_distance"] == (int(below[0]) if below.size else None)
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "sigma2, rho",
+        [(Fraction(1, 2), Fraction(1, 10)), (Fraction(1), Fraction(1, 2)), (Fraction(3), Fraction(1, 3)),
+         (Fraction(7, 5), Fraction(0)), (Fraction(9, 4), Fraction(17, 20))],
+        ids=lambda f: str(f),
+    )
+    def test_match_exact_arithmetic_on_the_boundaries(self, sigma2, rho):
+        # delta = sigma2 (1 - rho)/k puts the distance stop on a boundary,
+        # and k = j (j + 1) puts the successive stop on one as well.
+        n_total = 30
+        for k in sorted({*range(1, n_total + 3), *(j * (j + 1) for j in range(1, 10))}):
+            delta = sigma2 * (1 - rho) / k
+            cfg = ExperimentConfig(
+                dimension=1, n_experts=n_total, sigma2=float(sigma2), rho=float(rho), delta=float(delta)
+            )
+            rep = run_saturation(cfg)
+            assert rep.extra["n_max"] == k
+            stops = rep.extra["stop_n_successive"], rep.extra["stop_index_distance"]
+            assert stops == _exact_stops(sigma2, rho, delta, n_total)
+
+    @pytest.mark.parametrize(
+        "sigma2, rho, delta, n_total, key, stop",
+        [(0.5, 0.1, 0.45 / 15, 20, "stop_index_distance", 15),
+         (1.0, 0.5, 0.5 / 12, 10, "stop_n_successive", 4)],
+        ids=["distance", "successive"],
+    )
+    def test_boundary_examples(self, sigma2, rho, delta, n_total, key, stop):
+        # A float search of the trace gives 14 and 3: it rounds the gap or
+        # the gain below delta where exact arithmetic has them equal.
+        cfg = ExperimentConfig(dimension=1, n_experts=n_total, sigma2=sigma2, rho=rho, delta=delta)
+        assert run_saturation(cfg).extra[key] == stop
+
+    def test_distance_to_limit(self):
+        # sigma^2 (1 - rho) / n < 0.04 first at n = 13 (index 12).
+        rep = run_saturation(ExperimentConfig(dimension=1, n_experts=29, rho=0.5, delta=0.04))
+        assert rep.extra["stop_index_distance"] == 12 == rep.extra["n_max"]
 
 
 class TestRunKinematics:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from mergelimits import geometry
@@ -244,6 +246,26 @@ class TestProjectedWidth:
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
             projected_width_sq(identity_task(3), np.zeros(3), 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(0, 2**31 - 1),
+        st.floats(1.0, 1e6),
+        st.floats(1e-3, 1e3),
+        st.floats(0.0, 1e3),
+        st.data(),
+    )
+    def test_never_exceeds_residual_dim(self, dim, seed, condition, epsilon, offset, data):
+        # Each of the D - active terms r^2 / (dist^2 + r^2) is at most 1, so
+        # the sum is at most D - active and redundancy_bound_check cannot
+        # read False.
+        gen = RngStream(seed, 0).generator()
+        task = random_task(gen, dim, condition, epsilon)
+        active = data.draw(st.integers(0, dim - 1))
+        theta = task.theta_star + offset * gen.normal(size=dim)
+        assert projected_width_sq(task, theta, active) <= dim - active
+        assert redundancy_bound_check(task, theta, active)
 
 
 class TestRedundancyBound:

@@ -236,6 +236,33 @@ class TestTailDiagnostics:
         assert math.isfinite(rep.excess_kurtosis)
         assert rep.hill_exponent > 0
 
+    def test_kurtosis_has_the_bits_of_scipy(self):
+        p = RHTParams()
+        gen = RngStream(54, 7).generator()
+        vectors = [apply_rht(gen.normal(size=10_000) * s, p, RngStream(54, 8)) for s in (0.3, 1.0, 4.0)]
+        vectors += [gen.standard_t(df, size=20_000) * scale + shift
+                    for df in (3, 5, 30) for scale, shift in ((1e-3, 0.0), (1.0, 5.0), (1e3, -2.0))]
+        for x in vectors:
+            assert tail_diagnostics(x).excess_kurtosis == float(stats.kurtosis(x))
+
+    def test_cancellation_is_a_numeric_error(self):
+        # Every |x - mean| is below 10 eps |mean|: scipy warns of catastrophic
+        # cancellation, so no number is reported.
+        x = 1e6 + RngStream(54, 6).generator().normal(size=10_000) * 3e-10
+        with pytest.warns(RuntimeWarning, match="catastrophic cancellation"):
+            stats.kurtosis(x)
+        with pytest.raises(NumericError, match="cancellation"):
+            tail_diagnostics(x)
+
+    def test_unresolved_variance_is_a_numeric_error(self):
+        # One value 50 eps above the rest: m2 <= (eps mean)^2, where scipy
+        # returns NaN without a warning.
+        x = np.ones(10_000)
+        x[-1] += 50 * np.finfo(np.float64).eps
+        assert math.isnan(stats.kurtosis(x))
+        with pytest.raises(NumericError, match="cancellation"):
+            tail_diagnostics(x)
+
     def test_too_few_samples(self):
         with pytest.raises(ConfigError):
             tail_diagnostics(np.ones(100))
