@@ -239,20 +239,21 @@ def kinematics_transition(
 
     k is an int, which returns a float, or a 1-D sequence of ints, which
     returns an array with one probability per entry. cone_or_subspace is a
-    CircularCone or an int k1, the fixed subspace E_k1 spanned by the first
-    k1 coordinate axes. Every k is validated before anything is drawn.
+    CircularCone in R^dim or an int k1, the subspace E_k1 spanned by the
+    first k1 coordinate axes. Everything is validated before any draw.
 
     - Subspace: exact. Two subspaces in general position meet nontrivially
       iff k1 + k > D, so this returns that indicator and draws nothing.
     - Cone: Monte Carlo over `trials` draws. S meets the cone nontrivially
-      iff arccos |Pi_S u| <= half_angle (+ 1e-10 rad). By rotation
-      invariance S_k can be spanned by the first k axes of one Haar frame,
-      and |Pi_S u|^2 has the law of sum_{i<k} g_i^2 / |g|^2 for
-      g ~ N(0, I_D), so a trial is one D-vector. All k of one call share
-      the same trials: S_1 < S_2 < ... is a nested flag, one cumsum of g^2
-      gives every k's ratio, and a trial counts from its first hitting k
-      on. The swept curve is thus non-decreasing; its entries are
-      correlated, and each is binomial(trials, P(k)) / trials on its own.
+      iff arccos |Pi_S u| <= half_angle. By rotation invariance S_k can be
+      spanned by the first k axes of one Haar frame, and |Pi_S u|^2 has the
+      law of c_k / |g|^2 with c_k = sum_{i<k} g_i^2 for g ~ N(0, I_D), so a
+      trial is one D-vector. All k of one call share the same trials:
+      S_1 < S_2 < ... is a nested flag, and one cumsum of g^2 gives every
+      c_k. Hits are counted per k: c_k >= cos^2(half_angle + 1e-10) |g|^2,
+      the angle clipped at pi/2. c_k never decreases in k, so neither does
+      the swept curve; its entries are correlated, and each is
+      binomial(trials, P(k)) / trials on its own.
     """
     ks = np.asarray(k)
     if trials < 100:
@@ -268,19 +269,16 @@ def kinematics_transition(
             raise ConfigError(f"subspace dim must be in (0, {dim}], got {k1}")
         p = np.where(k1 + ks > dim, 1.0, 0.0)
         return float(p) if p.ndim == 0 else p
-    limit = cone_or_subspace.half_angle + _ANGLE_TOL
+    if cone_or_subspace.axis.size != dim:
+        raise ConfigError(f"dim {dim} disagrees with cone axis dim {cone_or_subspace.axis.size}")
+    cos2 = math.cos(min(cone_or_subspace.half_angle + _ANGLE_TOL, math.pi / 2)) ** 2
     k_top = int(ks.max())
     gen = stream.generator()
     batch = max(1, _CHUNK_NORMALS // dim)
-    # first[j] counts the trials whose first hitting k is j + 1; first[k_top]
-    # counts those that miss every k <= k_top.
-    first = np.zeros(k_top + 1, dtype=np.int64)
+    hits = np.zeros(k_top, dtype=np.int64)
     for start in range(0, trials, batch):
         g = gen.normal(size=(min(batch, trials - start), dim))
         c = np.cumsum(np.square(g, out=g), axis=1)
-        ratio = c[:, :k_top] / c[:, -1:]
-        hit = np.arccos(np.minimum(np.sqrt(ratio), 1.0)) <= limit
-        idx = np.where(hit.any(axis=1), hit.argmax(axis=1), k_top)
-        first += np.bincount(idx, minlength=k_top + 1)
-    p = np.cumsum(first)[ks - 1] / trials
+        hits += np.count_nonzero(c[:, :k_top] >= cos2 * c[:, -1:], axis=0)
+    p = hits[ks - 1] / trials
     return float(p) if p.ndim == 0 else p

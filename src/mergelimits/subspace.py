@@ -43,8 +43,8 @@ class SpectrumReport:
     singular_values: np.ndarray
     explained_fractions: np.ndarray
     counts_per_log_band: np.ndarray
-    degenerate: bool = False
-    rank: int = 0
+    degenerate: bool
+    rank: int
     tail_count: int = 0
     tail_bound: float = 0.0
 
@@ -143,17 +143,16 @@ def _sketch_spectrum(m: np.ndarray, k: int) -> SpectrumReport | None:
     return SpectrumReport(kept, kept * kept / np.vdot(m, m), counts, False, r, tail, bound)
 
 
-def pca_explained(stacked_deltas: np.ndarray, center: bool = True) -> SpectrumReport:
+def pca_explained(stacked_deltas: np.ndarray, center: bool) -> SpectrumReport:
     """Explained-variance spectrum of stacked experts (rows).
 
-    Rows are experts, columns flattened parameters. By default the mean
-    expert is subtracted first; pass center=False to skip. A low-rank stack
-    gets a certified report (see _sketch_spectrum): the rank values only,
-    each over the exact squared Frobenius norm, plus tail_count and
-    tail_bound for the round-off values left out. Otherwise every singular
-    value of a full SVD is listed. The sketch tries k = 16, 32, ... columns
-    while k <= min(shape) / 4; all-zero, full-rank and small inputs get the
-    full SVD.
+    Rows are experts, columns flattened parameters. center=True subtracts
+    the mean expert first. A low-rank stack gets a certified report (see
+    _sketch_spectrum): the rank values only, each over the exact squared
+    Frobenius norm, plus tail_count and tail_bound for the round-off values
+    left out. Otherwise every singular value of a full SVD is listed. The
+    sketch tries k = 16, 32, ... columns while k <= min(shape) / 4;
+    all-zero, full-rank and small inputs get the full SVD.
     """
     m = as_matrix(stacked_deltas)
     if m.shape[0] == 0:

@@ -64,7 +64,7 @@ class RngStream:
     """
 
     seed: int
-    stream_id: int = 0
+    stream_id: int
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):

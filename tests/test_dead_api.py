@@ -1,6 +1,6 @@
 """Every public top-level function and class of mergelimits, and every public
-method of those classes, has a reader; every option they default is set by
-one, and every option that defaults to None is left unset by one.
+method of those classes, has a reader, and every option they default is
+set by one and left unset by one.
 
 A name counts as read when the package source outside its own definition,
 a demo script, or the acceptance tests refer to it: a function or class by
@@ -10,12 +10,12 @@ an import left unused, is not a read). An option is a defaulted parameter
 of a public function, method or class (dataclass fields included); it
 counts as set when a call in those places, outside the function's own
 body, passes it by keyword, by position, or through `*` or
-`**` unpacking. A None default means "work the value out here", so such an
-option must also have a call that leaves it: one that omits it or unpacks
-`*` or `**`; when every call passes the value, the branch that works it out
-is dead. Callees are matched by name. Unit tests alone do not count: code
+`**` unpacking. Each option must also have a call that leaves it: one that
+omits it or unpacks `*` or `**`. When every call passes the value, the
+default is dead, and for a None default so is the branch that works the
+value out. Callees are matched by name. Unit tests alone do not count: code
 that only its own tests call is dead weight, and so is an option only they
-set or only they leave. ALLOWED, ALLOWED_OPTIONS and ALLOWED_NONE_DEFAULTS
+set or only they leave. ALLOWED, ALLOWED_OPTIONS and ALLOWED_PASSED_DEFAULTS
 name the few exceptions, each with the reason it stays.
 """
 
@@ -43,9 +43,10 @@ ALLOWED_OPTIONS = {
     "geometry.QuadraticTask.sample_sublevel(n)": "perfbench traces it until ROADMAP item 6",
 }
 
-ALLOWED_NONE_DEFAULTS = {
+ALLOWED_PASSED_DEFAULTS = {
     "experiments.run_kinematics(half_angle)": "cmd_kinematics forwards --half-angle-deg, "
     "which is None for a subspace sweep",
+    "geometry.QuadraticTask.sample_sublevel(n)": "perfbench traces it until ROADMAP item 6",
 }
 
 
@@ -194,12 +195,10 @@ def test_every_option_is_set_by_a_reader():
     assert unset == set(ALLOWED_OPTIONS)
 
 
-def test_every_none_default_is_left_by_a_caller():
+def test_every_default_is_left_by_a_caller():
     always_passed = {
         q
-        for q, option, position, default, calls in _option_calls()
-        if isinstance(default, ast.Constant)
-        and default.value is None
-        and not any(_leaves(c, option, position) for c in calls)
+        for q, option, position, _, calls in _option_calls()
+        if not any(_leaves(c, option, position) for c in calls)
     }
-    assert always_passed == set(ALLOWED_NONE_DEFAULTS)
+    assert always_passed == set(ALLOWED_PASSED_DEFAULTS)

@@ -54,6 +54,21 @@ def statdim_betainc(dim, a):
     return dim * (inside + c2 * cos_band + s2 * sin_band + math.sin(2 * a) * cross)
 
 
+def kinematics_reference(dim, cone, ks, trials, stream):
+    """The arccos/first-hit cone kernel that kinematics_transition replaced:
+    a trial hits at k iff arccos sqrt(c_k / |g|^2) <= half_angle + 1e-10,
+    and counts from its first hitting k on."""
+    ks = np.asarray(ks)
+    k_top = int(ks.max())
+    g = stream.generator().normal(size=(trials, dim))
+    c = np.cumsum(np.square(g, out=g), axis=1)
+    ratio = c[:, :k_top] / c[:, -1:]
+    hit = np.arccos(np.minimum(np.sqrt(ratio), 1.0)) <= cone.half_angle + 1e-10
+    idx = np.where(hit.any(axis=1), hit.argmax(axis=1), k_top)
+    first = np.bincount(idx, minlength=k_top + 1)
+    return np.cumsum(first)[ks - 1] / trials
+
+
 def random_task(gen, dim, condition=100.0, epsilon=0.5):
     # Ascending lambda (stored-order convention: high-curvature last in 1/lambda).
     lam = np.sort(np.exp(gen.uniform(0.0, math.log(condition), size=dim)))
@@ -484,6 +499,48 @@ class TestKinematics:
     def test_subspace_still_validates_trials(self, k):
         with pytest.raises(ConfigError):
             kinematics_transition(10, 4, k, 99, RngStream(45, 107))
+
+    @pytest.mark.parametrize("dims", [(10, 60), (60, 10)], ids=["cone-larger", "cone-smaller"])
+    def test_cone_dimension_must_match(self, dims):
+        class NoDraws:
+            def generator(self):
+                raise AssertionError("drew before validating the cone")
+
+        d, cone_dim = dims
+        with pytest.raises(ConfigError, match="cone axis dim"):
+            kinematics_transition(d, e1_cone(cone_dim, math.radians(30)), [1, 5, 10], 200, NoDraws())
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 10, 60, 200, 1000])
+    def test_hit_count_equals_first_hit_reference(self, d):
+        # The multi-chunk path runs at D = 1000: 500 trials exceed one batch.
+        ks = np.arange(1, d + 1)
+        for deg in (1, 5, 20, 30, 45, 60, 80, 89.9):
+            cone = e1_cone(d, math.radians(deg))
+            for seed in range(5):
+                stream = RngStream(seed, 6)
+                p = kinematics_transition(d, cone, ks, 500, stream)
+                assert np.array_equal(p, kinematics_reference(d, cone, ks, 500, stream)), (deg, seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 120),
+        deg=st.floats(0.01, 89.99),
+        seed=st.integers(0, 2**32 - 1),
+        picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    )
+    def test_hit_count_equals_reference_on_random_sweeps(self, d, deg, seed, picks):
+        ks = np.array([1 + min(int(u * d), d - 1) for u in picks])
+        cone = e1_cone(d, math.radians(deg))
+        p = kinematics_transition(d, cone, ks, 200, RngStream(seed, 6))
+        assert np.array_equal(p, kinematics_reference(d, cone, ks, 200, RngStream(seed, 6)))
+
+    def test_angle_past_right_angle_hits_every_k(self):
+        # half_angle + 1e-10 passes pi/2, so every subspace meets the cone.
+        d, trials = 60, 500
+        cone = e1_cone(d, math.pi / 2 - 5e-11)
+        ks = np.arange(1, d + 1)
+        assert np.all(kinematics_transition(d, cone, ks, trials, RngStream(48, 6)) == 1.0)
+        assert np.all(kinematics_reference(d, cone, ks, trials, RngStream(48, 6)) == 1.0)
 
     @pytest.mark.parametrize("chunk", ["one-trial", "all-trials"])
     def test_chunk_size_does_not_change_result(self, monkeypatch, chunk):

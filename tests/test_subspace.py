@@ -111,12 +111,12 @@ class TestSpectrumReport:
         assert np.sum(sv > 1e-30) > 5
         assert spectrum_report(sv, m.shape).rank == 5 == np.linalg.matrix_rank(m)
         assert pca_explained(m, center=False).rank == 5
-        assert pca_explained(m).rank == np.linalg.matrix_rank(m - m.mean(axis=0)) == 5
+        assert pca_explained(m, center=True).rank == np.linalg.matrix_rank(m - m.mean(axis=0)) == 5
         assert sv_tail_stats(m).rank == 5
 
     def test_nan_fractions_rejected(self):
         with pytest.raises(ConfigError, match="sum to nan"):
-            SpectrumReport(np.array([1.0]), np.array([np.nan]), np.zeros(N_LOG_BANDS + 2))
+            SpectrumReport(np.array([1.0]), np.array([np.nan]), np.zeros(N_LOG_BANDS + 2), False, 0)
 
     def test_rank_tolerance_scales_with_the_longer_side(self):
         eps = np.finfo(np.float64).eps
@@ -158,7 +158,7 @@ class TestPCAExplained:
         # Oracle: eigendecomposition of the Gram matrix of centered rows.
         gen = RngStream(62, 1).generator()
         m = gen.normal(size=(8, 20))
-        rep = pca_explained(m)
+        rep = pca_explained(m, center=True)
         c = m - m.mean(axis=0, keepdims=True)
         eig = np.sort(np.linalg.eigvalsh(c @ c.T))[::-1]
         eig = np.clip(eig, 0.0, None)
@@ -340,11 +340,11 @@ class TestCertifiedSpectrum:
 
     def test_repeat_calls_are_byte_identical(self):
         m = planted(600, 800, 5, 4)
-        a, b = pca_explained(m), pca_explained(m)
+        a, b = pca_explained(m, center=True), pca_explained(m, center=True)
         for field in ("singular_values", "explained_fractions", "counts_per_log_band"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
         assert (a.rank, a.tail_count, a.tail_bound) == (b.rank, b.tail_count, b.tail_bound)
 
     def test_zero_columns_rejected(self):
         with pytest.raises(ConfigError, match="zero columns"):
-            pca_explained(np.zeros((3, 0)))
+            pca_explained(np.zeros((3, 0)), center=True)
