@@ -2,9 +2,9 @@
 
 Subcommands: gen-experts, merge, rht, width, kinematics, saturate,
 rht-study, subspace, report. Each subcommand takes only the flags it
-reads. Exit codes: 0 success, 2 config error, 3 numeric error, 4 I/O or
-format error. main can be called repeatedly in one process; it builds its
-parser once, on the first call.
+reads. Exit codes: 0 success, 2 config error, 3 numeric error (a
+non-finite output; numpy never warns), 4 I/O or format error. main may be
+called repeatedly in one process; it builds its parser once.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _size(text: str) -> int:
 
 def _emit(report: experiments.Report, args, stem: str, plot=()) -> None:
     """Write <stem>.<format> and, with --plot, <stem>.svg of each (label,
-    column) in plot against column 0. Prints every path written."""
+    column name) in plot against column 0. Prints every path written."""
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{stem}.{args.format}")
     experiments.emit_report(report, args.format, path)
@@ -58,7 +58,8 @@ def _emit(report: experiments.Report, args, stem: str, plot=()) -> None:
     if plot and args.plot:
         svg = os.path.join(args.out, f"{stem}.svg")
         xs = [r[0] for r in report.rows]
-        plotting.plot_svg([(label, xs, [r[c] for r in report.rows]) for label, c in plot], svg)
+        cols = [(label, report.columns.index(name)) for label, name in plot]
+        plotting.plot_svg([(label, xs, [r[c] for r in report.rows]) for label, c in cols], svg)
         print(svg)
 
 
@@ -112,7 +113,7 @@ def cmd_width(args) -> None:
         "width",
         ["method", "value", "stderr"],
         [["jensen", jensen, 0.0], ["monte_carlo", mc, se]],
-        cfg.to_dict(),
+        dataclasses.asdict(cfg),
         {"samples": args.samples},
     )
     _emit(report, args, "width")
@@ -133,18 +134,19 @@ def cmd_kinematics(args) -> None:
         half_angle=half_angle,
         subspace_dim=args.subspace_dim,
     )
-    _emit(report, args, "kinematics", plot=[("intersection probability", 1)])
+    plot = [("intersection probability", "intersection_probability")]
+    _emit(report, args, "kinematics", plot=plot)
 
 
 def cmd_saturate(args) -> None:
-    report = experiments.run_saturation(_load_config(args))
-    plot = [("variance (analytic)", 1), ("variance (mc)", 2), ("expected loss", 4)]
-    _emit(report, args, "saturation", plot=plot)
+    plot = [("variance (analytic)", "var_analytic"), ("variance (mc)", "var_mc"),
+            ("expected loss", "expected_loss")]
+    _emit(experiments.run_saturation(_load_config(args)), args, "saturation", plot=plot)
 
 
 def cmd_rht_study(args) -> None:
-    report = experiments.run_rht_study(_load_config(args))
-    _emit(report, args, "rht_study", plot=[("loss (baseline)", 1), ("loss (rht)", 2)])
+    plot = [("loss (baseline)", "loss_baseline"), ("loss (rht)", "loss_rht")]
+    _emit(experiments.run_rht_study(_load_config(args)), args, "rht_study", plot=plot)
 
 
 def cmd_subspace(args) -> None:
@@ -249,7 +251,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        args.func(args)
+        # emit_report, as_pvec and plot_svg turn a non-finite output into exit 3.
+        with np.errstate(over="ignore", invalid="ignore"):
+            args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -90,9 +90,6 @@ class ExperimentConfig:
         if not self.delta > 0 or not self.epsilon > 0:
             raise ConfigError("delta and epsilon must be > 0")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
@@ -297,11 +294,8 @@ def run_saturation(cfg: ExperimentConfig) -> Report:
     stop_succ, stop_dist = (i if i < n_total else None for i in (succ, nmax))
     gains = np.zeros(n_total)
     gains[: min(n_total, d)] = geometry.marginal_gains(task, min(n_total, d))
-    # An overflowing sigma2 makes var_mc or the redundancy distance inf;
-    # emit_report rejects the report as a NumericError, so numpy need not warn.
-    with np.errstate(over="ignore"):
-        var_mc = merges.var(axis=1).tolist()
-        ok = [geometry.redundancy_bound_check(task, m, min(n, d - 1)) for n, m in enumerate(merges, 1)]
+    var_mc = merges.var(axis=1).tolist()
+    ok = [geometry.redundancy_bound_check(task, m, min(n, d - 1)) for n, m in enumerate(merges, 1)]
     se = math.sqrt(2.0 / max(d - 1, 1))
     rows = [
         [n, v, mc, mc * se, 0.5 * v * trace_h, geometry.width_jensen(task, min(n, d)), g,
@@ -315,7 +309,7 @@ def run_saturation(cfg: ExperimentConfig) -> Report:
         "stop_index_distance": stop_dist,
         "trace_h": trace_h,
     }
-    return Report("saturation", _SATURATION_COLUMNS, rows, cfg.to_dict(), extra)
+    return Report("saturation", _SATURATION_COLUMNS, rows, asdict(cfg), extra)
 
 
 def run_kinematics(
@@ -412,4 +406,4 @@ def run_rht_study(cfg: ExperimentConfig) -> Report:
             "standing in for the function-space volume integral"
         ),
     }
-    return Report("rht_study", _RHT_STUDY_COLUMNS, rows, cfg.to_dict(), extra)
+    return Report("rht_study", _RHT_STUDY_COLUMNS, rows, asdict(cfg), extra)

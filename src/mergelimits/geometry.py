@@ -51,7 +51,6 @@ class QuadraticTask:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
         if q is not None and np.max(np.abs(q.T @ q - np.eye(d))) > 1e-8:
             raise ConfigError("basis columns are not orthonormal")
-        self.radii = np.sqrt(2.0 * self.epsilon / self.eigenvalues)
 
     def _fixed_basis(self) -> np.ndarray:
         if self.basis is None:
@@ -73,7 +72,7 @@ class QuadraticTask:
         g = gen.normal(size=(n, self.dim))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         u = gen.random(size=(n, 1)) ** (1.0 / self.dim)
-        z = g * u * self.radii
+        z = g * u * np.sqrt(2.0 * self.epsilon / self.eigenvalues)
         return self.theta_star + z @ basis.T
 
 
@@ -133,13 +132,13 @@ def projected_width_sq(task: QuadraticTask, theta_k: np.ndarray, active: int) ->
     """Squared width of the sublevel set projected onto the sphere around theta_k.
 
     sum over the D - active residual radii of r_i^2 / (dist^2 + r_i^2),
-    where dist = |theta* - theta_k|.
+    where dist = |theta* - theta_k| and r_i^2 = 2 eps / lambda_i.
     """
     d = task.dim
     if not 0 <= active < d:
         raise ConfigError(f"active must be in [0, {d}), got {active}")
     dist_sq = float(np.sum((task.theta_star - as_pvec(theta_k, d)) ** 2))
-    r_sq = task.radii[: d - active] ** 2
+    r_sq = 2.0 * task.epsilon / task.eigenvalues[: d - active]
     return float(np.sum(r_sq / (dist_sq + r_sq)))
 
 

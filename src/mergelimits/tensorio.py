@@ -15,6 +15,7 @@ bit-exact.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -69,8 +70,9 @@ class RngStream:
     def __post_init__(self):
         for name in ("seed", "stream_id"):
             v = getattr(self, name)
-            if not (0 <= int(v) < 2**64):
-                raise ConfigError(f"{name} must be a u64, got {v!r}")
+            # Philox would key 1.5 or True as 1 and "7" as 7: a stream its record misnames.
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or not 0 <= v < 2**64:
+                raise ConfigError(f"{name} must be a u64 integer, got {v!r}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from mergelimits.tensorio import read_pvec, write_matrix, write_pvec
 def small_config(tmp_path):
     cfg = ExperimentConfig(seed=1, dimension=64, n_experts=3)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     return str(path)
 
 
@@ -100,7 +101,7 @@ class TestGenExperts:
     def test_low_rank_files_are_library_experts(self, tmp_path):
         cfg = ExperimentConfig(seed=4, dimension=144, n_experts=3, rank=3, sigma2=2.0, rho=0.2)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         out = tmp_path / "lr"
         assert run(["gen-experts", "--config", path, "--low-rank", "--out", out]) == 0
         for i, e in enumerate(gen_experts(cfg, low_rank=True)):
@@ -421,6 +422,36 @@ class TestRhtStudy:
         assert not out.exists()
 
 
+# epsilon / lambda_min past the float range: the radii, widths and losses
+# overflow. Every output passes a finiteness gate, so a run that writes a
+# non-finite value exits 3 and one whose outputs stay finite exits 0; numpy
+# warns of nothing either way, and the suite turns warnings into errors.
+_OVERFLOW_CONFIGS = {
+    "eps1e308": {"epsilon": 1e308, "dimension": 20},
+    "cond1e300": {"spectrum": {"kind": "geometric", "condition_number": 1e300},
+                  "dimension": 20, "epsilon": 1e10},
+    "cond1e308": {"spectrum": {"kind": "geometric", "condition_number": 1e308}, "dimension": 20},
+}
+_OVERFLOW_EXIT = {  # (saturate, width, rht-study)
+    "eps1e308": (3, 3, 0),
+    "cond1e300": (3, 3, 0),
+    "cond1e308": (0, 3, 0),
+}
+
+
+@pytest.mark.parametrize("i, argv", enumerate([["saturate"], ["width", "--samples", 1000],
+                                               ["rht-study"]]), ids=["saturate", "width", "rht-study"])
+@pytest.mark.parametrize("name", list(_OVERFLOW_CONFIGS))
+def test_overflowing_task_exits_without_warning(tmp_path, name, i, argv, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_OVERFLOW_CONFIGS[name]))
+    out = tmp_path / "o"
+    code = _OVERFLOW_EXIT[name][i]
+    assert run([*argv, "--config", path, "--out", out]) == code
+    assert "Warning" not in capsys.readouterr().err
+    assert [p.suffix for p in out.iterdir()] == ([".csv"] if code == 0 else [])
+
+
 class TestSubspace:
     def test_pca_of_stacked_experts(self, tmp_path):
         gen = np.random.default_rng(1)
@@ -646,7 +677,7 @@ class TestRepeatedMain:
     def test_low_rank_does_not_carry_over(self, tmp_path):
         cfg = ExperimentConfig(seed=4, dimension=144, n_experts=2, rank=3)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         assert run(["gen-experts", "--config", path, "--low-rank", "--out", tmp_path / "lr"]) == 0
         assert run(["gen-experts", "--config", path, "--out", tmp_path / "dense"]) == 0
         for i, e in enumerate(gen_experts(cfg)):

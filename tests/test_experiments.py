@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -46,7 +47,7 @@ class TestSpectrumDescriptor:
 class TestExperimentConfig:
     def test_json_roundtrip_lossless(self):
         cfg = ExperimentConfig(seed=7, rho=0.3, spectrum=SpectrumDescriptor("geometric", 50.0))
-        assert ExperimentConfig.from_json(json.dumps(cfg.to_dict())) == cfg
+        assert ExperimentConfig.from_json(json.dumps(dataclasses.asdict(cfg))) == cfg
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):

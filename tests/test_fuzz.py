@@ -7,6 +7,7 @@ through argparse with 2. Nothing here starts a subprocess.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import struct
@@ -125,7 +126,7 @@ def argv_files(tmp_path_factory):
     write_pvec(np.linspace(-1, 1, 16), d / "v.mmpv")
     write_matrix(np.arange(12.0).reshape(3, 4) ** 2, d / "m.mmmx")
     cfg = ExperimentConfig(seed=1, dimension=16, n_experts=3, rank=2)
-    (d / "cfg.json").write_text(json.dumps(cfg.to_dict()))
+    (d / "cfg.json").write_text(json.dumps(dataclasses.asdict(cfg)))
     (d / "r.json").write_text(Report("demo", ["a"], [[1]], {}).to_json())
     (d / "junk.mmpv").write_bytes(b"MMPV\x01\x00\x00\x00\xff")
     (d / "junk.json").write_text('{"seed": ')

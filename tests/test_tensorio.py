@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mergelimits.errors import FormatError
+from mergelimits.errors import ConfigError, FormatError
 from mergelimits.tensorio import (
     RngStream,
     read_matrix,
@@ -189,3 +189,21 @@ def test_substreams_independent():
     b = s.substream(1).generator().normal(size=100)
     assert not np.array_equal(a, b)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.5
+
+
+# Philox would key 1.5 or True as seed 1 and "7" as 7: the stream drawn
+# would not be the one the record names.
+@pytest.mark.parametrize(
+    "seed, stream_id",
+    [(1.5, 0), (True, 0), ("7", 0), (0, 2.5), (-1, 0), (0, 2**64)],
+    ids=["float-seed", "bool-seed", "str-seed", "float-stream", "negative", "past-u64"],
+)
+def test_non_u64_seed_or_stream_rejected(seed, stream_id):
+    with pytest.raises(ConfigError, match="u64 integer"):
+        RngStream(seed, stream_id)
+
+
+def test_numpy_integer_seed_draws_its_stream():
+    s = RngStream(np.int64(3), np.uint64(1))
+    a = s.generator().normal(size=4)
+    assert np.array_equal(a, RngStream(3, 1).generator().normal(size=4))
