@@ -25,7 +25,7 @@ from . import geometry, merge, rht
 from .errors import MAX_SIZE, ConfigError, NumericError, require_real, require_size
 from .tensorio import RngStream
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 def _parse_json(text: str, what: str):
@@ -261,7 +261,6 @@ _SATURATION_COLUMNS = [
     "marginal_gain",
     "stop_successive",
     "stop_distance",
-    "redundancy_ok",
 ]
 
 
@@ -276,7 +275,8 @@ def run_saturation(cfg: ExperimentConfig) -> Report:
     """Merge 1..N experts uniformly and record the saturation trajectory.
 
     The n-expert merge is row n-1 of the running means of one (N, D) draw.
-    Analytic columns come straight from the variance law and Jensen width;
+    Analytic columns come from the variance law and one jensen_widths array:
+    width is w_min(n, D) and marginal_gain its np.diff, 0.0 past D.
     var_mc is the empirical per-coordinate variance of the merged vector.
     Expected loss uses E[L] = 0.5 * var_per_coord * Tr(H). Both stops are
     trace indices read off nmax = merge.n_max, not searched for: the gap
@@ -292,15 +292,14 @@ def run_saturation(cfg: ExperimentConfig) -> Report:
     nmax = merge.n_max(cfg.sigma2, cfg.rho, cfg.delta)
     succ = (math.isqrt(4 * nmax + 1) - 1) // 2 + 1  # the largest j with j (j + 1) <= nmax, plus 1
     stop_succ, stop_dist = (i if i < n_total else None for i in (succ, nmax))
-    gains = np.zeros(n_total)
-    gains[: min(n_total, d)] = geometry.marginal_gains(task, min(n_total, d))
+    width = np.pad(geometry.jensen_widths(task, min(n_total, d)), (0, max(n_total - d, 0)), mode="edge")
+    gains = np.diff(width, prepend=0.0)
     var_mc = merges.var(axis=1).tolist()
-    ok = [geometry.redundancy_bound_check(task, m, min(n, d - 1)) for n, m in enumerate(merges, 1)]
     se = math.sqrt(2.0 / max(d - 1, 1))
     rows = [
-        [n, v, mc, mc * se, 0.5 * v * trace_h, geometry.width_jensen(task, min(n, d)), g,
-         stop_succ is not None and n >= stop_succ, stop_dist is not None and n > stop_dist, r]
-        for n, v, mc, g, r in zip(range(1, n_total + 1), trace, var_mc, gains.tolist(), ok)
+        [n, v, mc, mc * se, 0.5 * v * trace_h, w, g,
+         stop_succ is not None and n >= stop_succ, stop_dist is not None and n > stop_dist]
+        for n, v, mc, w, g in zip(range(1, n_total + 1), trace, var_mc, width.tolist(), gains.tolist())
     ]
     extra = {
         "n_max": nmax,

@@ -1,11 +1,12 @@
 """High-dimensional geometry of loss sublevel sets.
 
 Gaussian width of the ellipsoid {theta : (theta - theta*)^T H (theta -
-theta*) <= 2 eps} both in the Jensen closed form sqrt(2 eps sum 1/lambda_i)
-and by Monte Carlo, diminishing marginal gains, the statistical dimension of
-circular cones (exact by quadrature, with a Monte-Carlo cross-check), the
-projected-width redundancy threshold, the Haar-averaged loss, and the
-kinematic transition of a cone or subspace vs a Haar subspace.
+theta*) <= 2 eps} both in the Jensen closed form sqrt(2 eps sum 1/lambda_i),
+whose prefixes over the eigendirections give the diminishing marginal gains,
+and by Monte Carlo; the statistical dimension of circular cones (exact by
+quadrature, with a Monte-Carlo cross-check), the width of the sublevel set
+projected around a merged point, the Haar-averaged loss, and the kinematic
+transition of a cone or subspace vs a Haar subspace.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class QuadraticTask:
 
     basis is the D x D matrix, checked for orthonormal columns
     (max |Q^T Q - I| <= 1e-8), or None for a task whose orientation is left
-    Haar-random. Widths, marginal gains and the redundancy check are
+    Haar-random. Widths, marginal gains and projected widths are
     basis-invariant and never read it. loss and sample_sublevel need a fixed
     basis; mean_rotated_losses averages the loss over a Haar orientation.
     """
@@ -94,14 +95,18 @@ class CircularCone:
             raise ConfigError(f"half_angle must be in (0, pi/2), got {self.half_angle}")
 
 
-def width_jensen(task: QuadraticTask, m: int | None = None) -> float:
-    """Jensen approximation sqrt(2 eps sum_{i<=m} 1/lambda_i), stored order."""
+def jensen_widths(task: QuadraticTask, up_to_m: int) -> np.ndarray:
+    """Jensen widths w_m = sqrt(2 eps sum_{i<=m} 1/lambda_i) for m = 1..up_to_m,
+    from one cumulative sum in stored order."""
     d = task.dim
-    if m is None:
-        m = d
-    if not 1 <= m <= d:
-        raise ConfigError(f"m must be in [1, {d}], got {m}")
-    return math.sqrt(2.0 * task.epsilon * float(np.sum(1.0 / task.eigenvalues[:m])))
+    if not 1 <= up_to_m <= d:
+        raise ConfigError(f"prefix length must be in [1, {d}], got {up_to_m}")
+    return np.sqrt(2.0 * task.epsilon * np.cumsum(1.0 / task.eigenvalues[:up_to_m]))
+
+
+def width_jensen(task: QuadraticTask, m: int | None = None) -> float:
+    """Jensen approximation w_m of the first m directions (all D if m is None)."""
+    return float(jensen_widths(task, task.dim if m is None else m)[-1])
 
 
 def width_mc(task: QuadraticTask, samples: int, stream: RngStream) -> tuple[float, float]:
@@ -120,12 +125,7 @@ def width_mc(task: QuadraticTask, samples: int, stream: RngStream) -> tuple[floa
 
 def marginal_gains(task: QuadraticTask, up_to_m: int) -> np.ndarray:
     """Width increments Delta w_M = w(S_M) - w(S_{M-1}), with w(S_0) = 0."""
-    d = task.dim
-    if not 1 <= up_to_m <= d:
-        raise ConfigError(f"up_to_m must be in [1, {d}], got {up_to_m}")
-    partial = np.cumsum(1.0 / task.eigenvalues[:up_to_m])
-    widths = np.sqrt(2.0 * task.epsilon * partial)
-    return np.diff(widths, prepend=0.0)
+    return np.diff(jensen_widths(task, up_to_m), prepend=0.0)
 
 
 def projected_width_sq(task: QuadraticTask, theta_k: np.ndarray, active: int) -> float:

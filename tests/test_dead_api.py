@@ -36,6 +36,7 @@ ALLOWED = {
     "of mean_rotated_losses (TestRotatedLosses)",
     "merge.termination_check": "perfbench traces it until ROADMAP item 6, and it is the "
     "brute-force reference of run_saturation's closed-form stops (TestSaturationStops)",
+    "geometry.redundancy_bound_check": "perfbench traces it until ROADMAP item 6",
 }
 
 ALLOWED_OPTIONS = {
@@ -88,11 +89,14 @@ def _public_defs(stem: str, tree: ast.Module):
 
 def _unread_public_names() -> set:
     src = {p.stem: _parse(p) for p in SRC.glob("*.py")}
-    refs = [_referenced(_parse(p)) for p in OUTSIDE]
+    whole = {stem: _referenced(tree) for stem, tree in src.items()}
+    outside = [_referenced(_parse(p)) for p in OUTSIDE]
     unread = set()
     for stem, tree in src.items():
+        # A definition lies in its own module only: the others are walked once.
+        others = outside + [refs for s, refs in whole.items() if s != stem]
         for name, node, method in _public_defs(stem, tree):
-            seen = refs + [_referenced(t, node) for t in src.values()]
+            seen = others + [_referenced(tree, node)]
             if any(node.name in dotted or (not method and node.name in bare) for bare, dotted in seen):
                 continue
             unread.add(name)
@@ -171,13 +175,14 @@ def _option_calls():
     """(qualified option, option, position, default, calls) of each option,
     with the calls outside its own definition that name its callee."""
     src = {p.stem: _parse(p) for p in SRC.glob("*.py")}
+    whole = {stem: list(_calls(tree)) for stem, tree in src.items()}
     outside = [call for p in OUTSIDE for call in _calls(_parse(p))]
     for stem, tree in src.items():
+        others = outside + [c for s, calls in whole.items() if s != stem for c in calls]
         for name, node, method in _public_defs(stem, tree):
             # A class's own methods that build it (from_dict, from_json) are callers.
-            skip = None if isinstance(node, ast.ClassDef) else node
-            inside = [c for t in src.values() for c in _calls(t, skip)]
-            calls = [call for callee, call in outside + inside if callee == node.name]
+            own = whole[stem] if isinstance(node, ast.ClassDef) else list(_calls(tree, node))
+            calls = [call for callee, call in others + own if callee == node.name]
             for option, position, default in _options(node, method):
                 yield f"{name}({option})", option, position, default, calls
 

@@ -291,6 +291,21 @@ class TestRunSaturation:
         rep = run_saturation(ExperimentConfig(seed=5, dimension=100, n_experts=4))
         assert len(rep.rows) == 4
 
+    @pytest.mark.parametrize("kind", ["uniform", "geometric"])
+    @pytest.mark.parametrize("d, n", [(1, 5), (7, 20), (500, 10), (3000, 40)])
+    def test_width_columns_are_one_jensen_prefix(self, kind, d, n):
+        cfg = ExperimentConfig(seed=6, dimension=d, n_experts=n, spectrum=SpectrumDescriptor(kind, 1e4))
+        rep = run_saturation(cfg)
+        assert "redundancy_ok" not in rep.columns
+        assert len(rep.columns) == len(rep.rows[0])
+        col = {c: np.array([row[i] for row in rep.rows]) for i, c in enumerate(rep.columns)}
+        width, gain = col["width"], col["marginal_gain"]
+        task, m = gen_quadratic_task(cfg), min(n, d)
+        assert width.tolist() == [geometry.width_jensen(task, min(k, d)) for k in range(1, n + 1)]
+        assert np.array_equal(np.diff(width, prepend=0.0), gain)
+        assert np.array_equal(gain[:m], geometry.marginal_gains(task, m))
+        assert np.all(width[m:] == width[m - 1]) and np.all(gain[m:] == 0.0)
+
     def test_matches_committed_demo(self):
         cfg = ExperimentConfig(seed=0, dimension=500, n_experts=10, rho=0.5, delta=0.05)
         committed = Path(__file__).parents[1] / "demos" / "out" / "saturation.csv"

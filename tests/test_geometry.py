@@ -13,6 +13,7 @@ from mergelimits.geometry import (
     CircularCone,
     QuadraticTask,
     haar_orthogonal,
+    jensen_widths,
     kinematics_transition,
     marginal_gains,
     mean_rotated_losses,
@@ -160,6 +161,36 @@ class TestRotatedLosses:
     def test_rejects_mismatched_rows(self):
         with pytest.raises(ConfigError):
             mean_rotated_losses(np.ones(3), np.ones((4, 2)))
+
+
+class TestJensenWidths:
+    def test_prefixes_match_correctly_rounded_sums(self):
+        # A running sum of m positive terms is within (m - 1) u of the exact
+        # sum (u = 2^-53); the square root halves that, and the products and
+        # the root add a few u. math.fsum rounds the exact sum once.
+        gen = RngStream(43, 0).generator()
+        for _ in range(40):
+            dim = int(gen.integers(1, 10_001))
+            lam = np.geomspace(1.0 / gen.uniform(1.0, 1e6), 1.0, dim)
+            task = QuadraticTask(np.zeros(dim), lam, None, float(gen.uniform(1e-3, 1e3)))
+            w = jensen_widths(task, dim)
+            for m in {1, 2, dim, *gen.integers(1, dim + 1, size=10).tolist()}:
+                exact = math.sqrt(math.fsum(2.0 * task.epsilon / lam[:m]))
+                assert abs(w[m - 1] - exact) <= (m / 2 + 3) * 2.0**-53 * exact
+
+    def test_reads_of_one_array(self):
+        task = random_task(RngStream(43, 1).generator(), 30, condition=1e4)
+        w = jensen_widths(task, 30)
+        assert [width_jensen(task, m) for m in range(1, 31)] == w.tolist()
+        assert width_jensen(task) == w[-1]
+        assert np.array_equal(marginal_gains(task, 30), np.diff(w, prepend=0.0))
+        assert np.array_equal(jensen_widths(task, 12), w[:12])
+
+    @pytest.mark.parametrize("m", [0, 4])
+    def test_out_of_range(self, m):
+        for f in (jensen_widths, width_jensen, marginal_gains):
+            with pytest.raises(ConfigError):
+                f(identity_task(3), m)
 
 
 class TestWidthJensen:
