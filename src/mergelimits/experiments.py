@@ -130,25 +130,12 @@ class Report:
         buf.write(f"# schema_version: {self.schema_version}\n")
         buf.write(f"# config: {json.dumps(self.config, sort_keys=True)}\n")
         buf.write(f"# extra: {json.dumps(self.extra, sort_keys=True)}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        # csv writes every float, numpy's included, with float.__repr__.
+        csv.writer(buf, lineterminator="\n").writerows([self.columns, *self.rows])
         return buf.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "schema_version": self.schema_version,
-                "config": self.config,
-                "extra": self.extra,
-                "columns": self.columns,
-                "rows": self.rows,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "Report":
@@ -168,6 +155,8 @@ class Report:
             raise ConfigError("report columns must be a list of strings")
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ConfigError("report rows must be a list of lists")
+        if any(len(r) != len(columns) or any(isinstance(v, (list, dict)) for v in r) for r in rows):
+            raise ConfigError(f"each report row must hold {len(columns)} numbers, strings, bools or nulls")
         if not isinstance(d["config"], dict) or not isinstance(d["extra"], dict):
             raise ConfigError("report config and extra must be JSON objects")
         if isinstance(version, bool) or not isinstance(version, int):

@@ -93,7 +93,7 @@ def _read_exact(f, n: int, offset: int, what: str) -> bytes:
 def _write(a: np.ndarray, magic: bytes, path) -> None:
     with open(path, "wb") as f:
         f.write(magic + struct.pack(f"<I{a.ndim}Q", FORMAT_VERSION, *a.shape))
-        f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(a, dtype="<f8").data)
 
 
 def _read(path, magic: bytes, ndim: int) -> np.ndarray:

@@ -65,6 +65,31 @@ def test_cone_kinematics_loads_no_scipy(tmp_path):
     assert (tmp_path / "kinematics.csv").exists()
 
 
+def test_expert_path_loads_no_scipy(tmp_path):
+    # merge, rht and subspace run on numpy's BLAS alone: a cold run pays no
+    # ~0.3 s scipy.linalg import and keeps one OpenBLAS thread pool.
+    for i in range(3):
+        write_pvec(np.linspace(-1.0, 1.0, 16) * (i + 1), tmp_path / f"e{i}.mmpv")
+    write_matrix(np.arange(48.0).reshape(6, 8) ** 2, tmp_path / "m.mmmx")
+    out = str(tmp_path / "out")
+    argvs = [
+        ["merge", *(str(tmp_path / f"e{i}.mmpv") for i in range(3)), "--out", out],
+        ["rht", f"{out}/merged.mmpv", "--out", out],
+        ["subspace", str(tmp_path / "m.mmmx"), "--out", out],
+    ]
+    code = (
+        f"import sys, mergelimits.cli; codes = [mergelimits.cli.main(a) for a in {argvs!r}]; "
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mergelimits.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert sorted(os.listdir(out)) == ["merged.mmpv", "rht.mmpv", "subspace.csv"]
+
+
 def test_rht_study_loads_no_scipy_stats(tmp_path):
     # The tail kurtosis is numpy: importing scipy.stats alone takes longer
     # than the whole D = 10^4 study.
@@ -537,13 +562,18 @@ class TestReport:
             *(_report_text(rows=[[v]]) for v in [math.nan, math.inf]),
             _report_text(extra={"x": -math.inf}),
             _report_text(config={"x": [math.nan]}),
+            _report_text(columns=["a", "b"], rows=[[1]]),
+            _report_text(rows=[[1, 2]]),
+            _report_text(rows=[[[1]]]),
+            _report_text(rows=[[{"a": 1}]]),
         ],
         ids=["not-json", "not-object", "missing-keys", "too-deep",
              "kind-escapes", "kind-empty", "kind-dot", "kind-dotdot", "kind-sep", "kind-nul",
              "kind-newline", "kind-int", "columns-str", "columns-int", "columns-null", "rows-str",
              "row-int", "rows-object", "config-list", "extra-str",
              "version-bool", "version-str", "version-float",
-             "rows-nan", "rows-inf", "extra-minus-inf", "config-nested-nan"],
+             "rows-nan", "rows-inf", "extra-minus-inf", "config-nested-nan",
+             "row-short", "row-long", "cell-list", "cell-object"],
     )
     def test_malformed_report_exit_2(self, tmp_path, text):
         src = tmp_path / "in.json"

@@ -584,6 +584,23 @@ class TestReportIO:
         data_line = p.read_text().splitlines()[-1]
         assert float(data_line) == 0.1 + 0.2
 
+    def test_cells_are_written_as_plain_scalars(self):
+        # A numpy float is a float: its CSV cell is float.__repr__, not np.float64(...).
+        header = "# kind: x\n# schema_version: 1\n# config: {}\n# extra: {}\nv\n"
+        plain = Report("x", ["v"], [[0.1]], {}, {}, schema_version=1)
+        wrapped = Report("x", ["v"], [[np.float64(0.1)]], {}, {}, schema_version=1)
+        assert wrapped.to_csv() == plain.to_csv() == header + "0.1\n"
+        assert wrapped.to_json() == plain.to_json()
+        rows = [[3, 0.1 + 0.2, True, None, "x,y"], [-1, 1e-300, False, None, ""]]
+        mixed = Report("mix", ["i", "f", "b", "n", "s"], rows, {"seed": 0}, {}, schema_version=1)
+        assert mixed.to_csv() == (
+            '# kind: mix\n# schema_version: 1\n# config: {"seed": 0}\n# extra: {}\n'
+            'i,f,b,n,s\n3,0.30000000000000004,True,,"x,y"\n-1,1e-300,False,,\n'
+        )
+        fields = {"kind": "mix", "schema_version": 1, "config": {"seed": 0}, "extra": {},
+                  "columns": ["i", "f", "b", "n", "s"], "rows": rows}
+        assert mixed.to_json() == json.dumps(fields, indent=2, sort_keys=True)
+
     def test_empty_sweep_header_only(self, tmp_path):
         rep = Report("x", ["a", "b"], [], {"seed": 1}, {})
         p = tmp_path / "r.csv"

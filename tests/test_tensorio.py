@@ -90,6 +90,20 @@ def test_read_holds_one_payload_buffer(tmp_path, reader, writer, shape):
     assert peak < 1.25 * a.nbytes
 
 
+def test_write_holds_no_payload_copy(tmp_path):
+    # The file is written from the array's own buffer; the only traced
+    # allocation left is the 1-byte-per-value finiteness mask.
+    a = RngStream(3, 1).generator().normal(size=(1000, 1000))
+    tracemalloc.start()
+    try:
+        write_matrix(a, tmp_path / "big.mmmx")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * a.nbytes
+    assert read_matrix(tmp_path / "big.mmmx").tobytes() == a.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32))
 def test_matrix_roundtrip_property(tmp_path_factory, rows, cols, seed):
