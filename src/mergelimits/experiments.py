@@ -17,7 +17,7 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -180,7 +180,36 @@ def emit_report(report: Report, fmt: str, path) -> None:
         f.write(payload)
 
 
-def gen_experts(cfg: ExperimentConfig, low_rank: bool = False) -> np.ndarray:
+# Normals per block of expert rows: a block holds max(1, _BLOCK_NORMALS // D)
+# rows, so the runners hold O(D) of the N x D stack at a time.
+_BLOCK_NORMALS = 1 << 16
+
+
+def _expert_blocks(cfg: ExperimentConfig) -> Iterator[tuple[int, np.ndarray]]:
+    """The dense gen_experts rows as (index of the first row, row block).
+    Consecutive draws from one generator equal one large draw, so the blocks
+    hold the bits of one whole-stack draw. The size check and the draw of z0
+    run on the call, the blocks as they are taken."""
+    d, n = cfg.dimension, cfg.n_experts
+    require_size(n, d, "n_experts x dimension")
+    gen = RngStream(cfg.seed, 1).generator()
+    shared = math.sqrt(cfg.rho) * gen.normal(size=d)
+    rows = max(1, _BLOCK_NORMALS // d)
+
+    def blocks():
+        for start in range(0, n, rows):
+            # sigma (sqrt(rho) z0 + sqrt(1 - rho) z_i), combined in place: IEEE
+            # + and * commute, so these are the bits of that expression.
+            block = gen.normal(size=(min(rows, n - start), d))
+            block *= math.sqrt(1.0 - cfg.rho)
+            block += shared
+            block *= math.sqrt(cfg.sigma2)
+            yield start, block
+
+    return blocks()
+
+
+def gen_experts(cfg: ExperimentConfig, low_rank: bool) -> np.ndarray:
     """n equicorrelated expert deltas, the rows of an (n, D) float64 array.
 
     With low_rank, each delta, read as a √D × √D matrix m, is overwritten
@@ -193,19 +222,11 @@ def gen_experts(cfg: ExperimentConfig, low_rank: bool = False) -> np.ndarray:
     own OpenBLAS, and alternating between them leaves one thread pool
     spinning while the other works (2-3× slower on a 2-core host).
     """
-    stream = RngStream(cfg.seed, 1)
-    gen = stream.generator()
-    sigma = math.sqrt(cfg.sigma2)
+    blocks = _expert_blocks(cfg)
     d, n = cfg.dimension, cfg.n_experts
-    require_size(n, d, "n_experts x dimension")
-    z0 = gen.normal(size=d)
-    experts = gen.normal(size=(n, d))
-    # sigma (sqrt(rho) z0 + sqrt(1 - rho) z_i), combined in place: IEEE + and
-    # * commute, so these are the bits of that expression with no n x D
-    # temporaries.
-    experts *= math.sqrt(1.0 - cfg.rho)
-    experts += math.sqrt(cfg.rho) * z0
-    experts *= sigma
+    experts = np.empty((n, d))
+    for start, block in blocks:
+        experts[start : start + len(block)] = block
     if not low_rank:
         return experts
 
@@ -253,17 +274,26 @@ _SATURATION_COLUMNS = [
 ]
 
 
-def _uniform_merges(experts: np.ndarray) -> np.ndarray:
-    """Overwrite the (N, D) stack experts with its running means, allocating
-    no second stack: row n-1 becomes the uniform merge of the first n."""
-    np.cumsum(experts, axis=0, out=experts)
-    return np.divide(experts, np.arange(1.0, len(experts) + 1.0)[:, None], out=experts)
+def _merged_blocks(blocks: Iterator[tuple[int, np.ndarray]]) -> Iterator[tuple[int, np.ndarray]]:
+    """Overwrite each expert row block in place by its running means: row
+    n - 1 of the whole becomes the uniform merge of the first n. The running
+    sum is carried over from the block before (S + x is the IEEE sum cumsum
+    takes at that row)."""
+    total = None
+    for start, block in blocks:
+        if total is not None:
+            block[0] += total
+        np.cumsum(block, axis=0, out=block)
+        total = block[-1].copy()
+        block /= np.arange(start + 1.0, start + len(block) + 1.0)[:, None]
+        yield start, block
 
 
 def run_saturation(cfg: ExperimentConfig) -> Report:
     """Merge 1..N experts uniformly and record the saturation trajectory.
 
-    The n-expert merge is row n-1 of the running means of one (N, D) draw.
+    The n-expert merge is row n-1 of the running means of one (N, D) draw,
+    taken in row blocks (see _merged_blocks), so the stack is never held.
     Analytic columns come from the variance law and one jensen_widths array:
     width is w_min(n, D) and marginal_gain its np.diff, 0.0 past D.
     var_mc is the empirical per-coordinate variance of the merged vector.
@@ -273,17 +303,20 @@ def run_saturation(cfg: ExperimentConfig) -> Report:
     i = nmax, the gain trace[i-1] - trace[i] = sigma^2 (1 - rho)/(i (i + 1))
     at the least i >= 1 with i (i + 1) > nmax. A stop not below N is None.
     """
-    merges = _uniform_merges(gen_experts(cfg))
+    n_total, d = cfg.n_experts, cfg.dimension
+    merges = _merged_blocks(_expert_blocks(cfg))
+    var_mc = np.empty(n_total)  # before the sweep: N rows too many to hold fail at once
+    for start, block in merges:
+        block.var(axis=1, out=var_mc[start : start + len(block)])
+    var_mc = var_mc.tolist()
     task = gen_quadratic_task(cfg)
     trace_h = float(np.sum(task.eigenvalues))
-    n_total, d = cfg.n_experts, cfg.dimension
     trace = [merge.merged_variance_equicorrelated(cfg.sigma2, cfg.rho, n) for n in range(1, n_total + 1)]
     nmax = merge.n_max(cfg.sigma2, cfg.rho, cfg.delta)
     succ = (math.isqrt(4 * nmax + 1) - 1) // 2 + 1  # the largest j with j (j + 1) <= nmax, plus 1
     stop_succ, stop_dist = (i if i < n_total else None for i in (succ, nmax))
     width = np.pad(geometry.jensen_widths(task, min(n_total, d)), (0, max(n_total - d, 0)), mode="edge")
     gains = np.diff(width, prepend=0.0)
-    var_mc = merges.var(axis=1).tolist()
     se = math.sqrt(2.0 / max(d - 1, 1))
     rows = [
         [n, v, mc, mc * se, 0.5 * v * trace_h, w, g,
@@ -364,16 +397,21 @@ def run_rht_study(cfg: ExperimentConfig) -> Report:
     of variation, the coverage-proxy pair (gaussian vs rht samplers at a
     shared seed) and tail diagnostics of the last transformed delta.
     """
-    merged = _uniform_merges(gen_experts(cfg))
+    merges = _merged_blocks(_expert_blocks(cfg))
+    cells = np.empty((cfg.n_experts, 4))  # before the sweep: N rows too many to hold fail at once
     task = gen_quadratic_task(cfg)
     p = cfg.rht_params
-    transformed = [rht.apply_rht(m, p, RngStream(cfg.seed, 100 + n)) for n, m in enumerate(merged, 1)]
-    offsets = np.stack([*merged, *transformed], axis=1) - task.theta_star[:, None]
-    losses, cv = geometry.mean_rotated_losses(task.eigenvalues, offsets)
-    rows = [
-        [n, float(lb), float(lr), float(m.var()), float(t.var())]
-        for n, (lb, lr, m, t) in enumerate(zip(*losses.reshape(2, -1), merged, transformed), 1)
-    ]
+    for start, merged in merges:
+        transformed = [
+            rht.apply_rht(m, p, RngStream(cfg.seed, 100 + n)) for n, m in enumerate(merged, start + 1)
+        ]
+        # A C-ordered (D, 2b) block, as the whole stack was: numpy sums each of
+        # its columns sequentially over D (a lone (D, 1) column it sums pairwise).
+        offsets = np.stack([*merged, *transformed], axis=1) - task.theta_star[:, None]
+        losses, cv = geometry.mean_rotated_losses(task.eigenvalues, offsets)
+        for row, lb, lr, m, t in zip(cells[start:], *losses.reshape(2, -1), merged, transformed):
+            row[:] = lb, lr, m.var(), t.var()
+    rows = [[n, *c] for n, c in enumerate(cells.tolist(), 1)]
     net = rht.TinyNetSpec()
     cov_stream = RngStream(cfg.seed, 50)
     c1, range1 = rht.coverage_proxy(net, "gaussian", 2000, cov_stream)

@@ -69,14 +69,27 @@ def gaussian_difference(w: np.ndarray, mu: float, sigma_g: float, stream: RngStr
         raise ConfigError(f"sigma_g must be >= 0, got {sigma_g}")
     if sigma_g == 0:
         return w - float(mu)
-    return w - stream.generator().normal(mu, sigma_g, size=w.size)
+    g = stream.generator().normal(mu, sigma_g, size=w.size)
+    return np.subtract(w, g, out=g)
 
 
 def rht_map(x, p: RHTParams):
-    """Componentwise T; odd by construction, T(0) = 0."""
+    """Componentwise T; odd by construction, T(0) = 0. An array is mapped in
+    two temporaries, with the bits of sign(x) * _map_positive(|x|): IEEE *
+    and + commute, and ** keeps numpy's scalar-power fast paths. The sign is
+    a product, not copysign: np.sign(-0.0) is 0.0."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.sign(x) * _map_positive(np.abs(x), p.gamma, p.alpha, p.beta)
-    return float(out) if out.ndim == 0 else out
+    if x.ndim == 0:
+        return float(np.sign(x) * _map_positive(np.abs(x), p.gamma, p.alpha, p.beta))
+    boost = np.abs(x)
+    out = boost**p.gamma
+    np.multiply(boost, -p.beta, out=boost)
+    np.exp(boost, out=boost)
+    boost *= p.alpha
+    boost += 1.0
+    out *= boost
+    out *= np.sign(x, out=boost)
+    return out
 
 
 def rht_inverse(y: float, p: RHTParams) -> float:
@@ -202,8 +215,15 @@ class TinyNetSpec:
         stacked matmul runs each row's own 2-D product, so a row's outputs
         equal those of that vector alone."""
         p = as_matrix(params, cols=self.param_count)
-        h = np.tanh(inputs @ p[:, :16].reshape(-1, 2, 8) + p[:, None, 16:24])
-        return (h @ p[:, 24:32].reshape(-1, 8, 1) + p[:, None, 32:])[:, :, 0]
+        h = inputs @ p[:, :16].reshape(-1, 2, 8)
+        h += p[:, None, 16:24]
+        out = np.tanh(h, out=h) @ p[:, 24:32].reshape(-1, 8, 1)
+        out += p[:, None, 32:]
+        return out[:, :, 0]
+
+
+# Parameter samples per stacked forward pass in coverage_proxy.
+_FORWARD_SAMPLES = 128
 
 
 def coverage_proxy(
@@ -229,13 +249,14 @@ def coverage_proxy(
     draws = stream.generator().normal(size=(n_samples, net.param_count))
     if param_sampler == "rht":
         p = rht_params or RHTParams()
-        flat = gaussian_difference(
-            draws.reshape(-1), 0.0, p.sigma_g_ratio * float(draws.std()), stream.substream(0)
-        )
-        draws = rht_map(flat, p).reshape(n_samples, net.param_count)
-    # Stacked forward passes of 256 samples keep the intermediates near 1 MB.
-    starts = range(0, n_samples, 256)
-    outputs = np.concatenate([net.forward(draws[s : s + 256], grid) for s in starts])
+        sigma_g = p.sigma_g_ratio * float(draws.std())
+        draws = gaussian_difference(draws.reshape(-1), 0.0, sigma_g, stream.substream(0))
+        draws = rht_map(draws, p).reshape(n_samples, net.param_count)
+    # Stacked forward passes of _FORWARD_SAMPLES keep the intermediates near
+    # 0.5 MB; each block's outputs go straight into their rows.
+    outputs = np.empty((n_samples, len(grid)))
+    for s in range(0, n_samples, _FORWARD_SAMPLES):
+        outputs[s : s + _FORWARD_SAMPLES] = net.forward(draws[s : s + _FORWARD_SAMPLES], grid)
     var_per_input = outputs.var(axis=0)
     range_per_input = outputs.max(axis=0) - outputs.min(axis=0)
     return float(var_per_input.mean()), float(range_per_input.mean())

@@ -122,10 +122,14 @@ def _sketch_spectrum(m: np.ndarray, k: int) -> SpectrumReport | None:
     q, _ = np.linalg.qr(y)
     b = q.T @ m
     s = np.linalg.svd(b, compute_uv=False)
-    # Residual by row blocks: never a second m-sized array.
+    # Residual by row blocks, each computed in one reused buffer: never a
+    # second m-sized array, and one block-sized one.
     sq = 0.0
+    buf = np.empty((min(_RESIDUAL_ROWS, m.shape[0]), m.shape[1]))
     for i in range(0, m.shape[0], _RESIDUAL_ROWS):
-        block = m[i : i + _RESIDUAL_ROWS] - q[i : i + _RESIDUAL_ROWS] @ b
+        rows = m[i : i + _RESIDUAL_ROWS]
+        block = np.matmul(q[i : i + _RESIDUAL_ROWS], b, out=buf[: len(rows)])
+        np.subtract(rows, block, out=block)
         sq += float(np.vdot(block, block))
     rho = math.sqrt(sq)
     scale = max(m.shape) * np.finfo(np.float64).eps

@@ -372,8 +372,9 @@ class TestSaturate:
         (["kinematics", "--dim", 10**12, "--half-angle-deg", 30], None),
         (["saturate"], {"dimension": 10**12, "n_experts": 2}),
         (["saturate"], {"n_experts": 10**12, "dimension": 4}),
+        (["rht-study"], {"n_experts": 10**12, "dimension": 4}),
     ],
-    ids=["kinematics-dim", "saturate-dimension", "saturate-n-experts"],
+    ids=["kinematics-dim", "saturate-dimension", "saturate-n-experts", "rht-study-n-experts"],
 )
 def test_unallocatable_size_exit_2(tmp_path, argv, cfg, capsys):
     if cfg is not None:
@@ -710,7 +711,7 @@ class TestRepeatedMain:
         path.write_text(json.dumps(dataclasses.asdict(cfg)))
         assert run(["gen-experts", "--config", path, "--low-rank", "--out", tmp_path / "lr"]) == 0
         assert run(["gen-experts", "--config", path, "--out", tmp_path / "dense"]) == 0
-        for i, e in enumerate(gen_experts(cfg)):
+        for i, e in enumerate(gen_experts(cfg, low_rank=False)):
             written = read_pvec(tmp_path / "dense" / f"expert_{i:03d}.mmpv")
             assert written.tobytes() == e.tobytes()
             assert np.linalg.matrix_rank(written.reshape(12, 12)) == 12

@@ -9,14 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mergelimits import geometry, merge, rht
+from mergelimits import experiments, geometry, merge, rht
 from mergelimits.errors import ConfigError, NumericError
 from mergelimits.experiments import (
     MAX_SIZE,
     ExperimentConfig,
     Report,
     SpectrumDescriptor,
-    _uniform_merges,
+    _expert_blocks,
+    _merged_blocks,
     emit_report,
     gen_experts,
     gen_quadratic_task,
@@ -87,20 +88,20 @@ class TestExperimentConfig:
 class TestGenExperts:
     def test_fully_correlated_identical(self):
         cfg = ExperimentConfig(seed=3, dimension=100, n_experts=4, rho=1.0)
-        experts = gen_experts(cfg)
+        experts = gen_experts(cfg, low_rank=False)
         for e in experts[1:]:
             assert np.allclose(e, experts[0], atol=1e-12)
 
     def test_independent_cross_correlation_small(self):
         cfg = ExperimentConfig(seed=4, dimension=100_000, n_experts=3, rho=0.0)
-        a, b, c = gen_experts(cfg)
+        a, b, c = gen_experts(cfg, low_rank=False)
         for x, y in [(a, b), (a, c), (b, c)]:
             r = float(np.corrcoef(x, y)[0, 1])
             assert abs(r) <= 0.01
 
     def test_default_rho_recovered(self):
         cfg = ExperimentConfig(seed=5, dimension=100_000, n_experts=4, rho=0.5)
-        experts = gen_experts(cfg)
+        experts = gen_experts(cfg, low_rank=False)
         for i in range(4):
             for j in range(i + 1, 4):
                 r = float(np.corrcoef(experts[i], experts[j])[0, 1])
@@ -108,19 +109,19 @@ class TestGenExperts:
 
     def test_marginal_variance(self):
         cfg = ExperimentConfig(seed=6, dimension=100_000, n_experts=2, sigma2=2.0, rho=0.3)
-        for e in gen_experts(cfg):
+        for e in gen_experts(cfg, low_rank=False):
             assert e.var() == pytest.approx(2.0, rel=0.03)
 
     def test_determinism(self):
         cfg = ExperimentConfig(seed=7, dimension=50, n_experts=2)
-        a = gen_experts(cfg)
-        b = gen_experts(cfg)
+        a = gen_experts(cfg, low_rank=False)
+        b = gen_experts(cfg, low_rank=False)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_low_rank_second_moments(self):
         cfg = ExperimentConfig(seed=8, dimension=400, n_experts=6, rank=4, sigma2=1.5)
         deltas = gen_experts(cfg, low_rank=True)
-        full = gen_experts(cfg)
+        full = gen_experts(cfg, low_rank=False)
         for d, f in zip(deltas, full):
             assert d.shape == f.shape == (400,) and d.dtype == np.float64
             # Frobenius rescale preserves the total second moment within 5%.
@@ -131,7 +132,7 @@ class TestGenExperts:
     )
     def test_low_rank_is_rescaled_truncated_svd(self, seed, side, rank):
         cfg = ExperimentConfig(seed=seed, dimension=side * side, n_experts=3, rank=rank)
-        for d, f in zip(gen_experts(cfg, low_rank=True), gen_experts(cfg)):
+        for d, f in zip(gen_experts(cfg, low_rank=True), gen_experts(cfg, low_rank=False)):
             m = f.reshape(side, side)
             u, s, vt = np.linalg.svd(m)
             rescale = np.linalg.norm(s) / np.linalg.norm(s[:rank])
@@ -155,7 +156,7 @@ class TestGenExperts:
         z0 = gen.normal(size=dim)
         zs = gen.normal(size=(n, dim))
         ref = math.sqrt(sigma2) * (math.sqrt(rho) * z0 + math.sqrt(1.0 - rho) * zs)
-        experts = gen_experts(cfg)
+        experts = gen_experts(cfg, low_rank=False)
         assert experts.shape == (n, dim) and experts.dtype == np.float64
         assert experts.tobytes() == ref.tobytes()
 
@@ -206,31 +207,44 @@ class TestGenQuadraticTask:
 _MERGE_SHAPES = [(1, 1), (1, 7), (3, 50), (500, 10), (3000, 10), (3000, 200), (4096, 64)]
 
 
+def uniform_merges(cfg):
+    """The streamed uniform merges of cfg's experts, stacked."""
+    return np.concatenate([block for _, block in _merged_blocks(_expert_blocks(cfg))])
+
+
 class TestUniformMerges:
     @pytest.mark.parametrize("dim, n", _MERGE_SHAPES)
-    def test_rows_are_prefix_means(self, dim, n):
+    def test_rows_are_prefix_means(self, dim, n, monkeypatch):
+        # Blocks of 3 rows: every n > 3 carries its running sum across blocks.
+        monkeypatch.setattr(experiments, "_BLOCK_NORMALS", 3 * dim)
         for seed in range(5):
-            experts = gen_experts(ExperimentConfig(seed=seed, dimension=dim, n_experts=n))
-            merges = _uniform_merges(experts.copy())
+            cfg = ExperimentConfig(seed=seed, dimension=dim, n_experts=n)
+            experts, merges = gen_experts(cfg, low_rank=False), uniform_merges(cfg)
             for k in range(1, n + 1):
                 assert np.array_equal(merges[k - 1], experts[:k].mean(axis=0))
 
     def test_in_place_with_no_second_stack(self):
-        experts = gen_experts(ExperimentConfig(seed=1, dimension=3000, n_experts=200))
+        blocks = [np.full((2, 3), 4.0), np.full((1, 3), 1.0), np.full((3, 3), -2.0)]
+        starts, merged = zip(*_merged_blocks(zip([0, 2, 3], blocks)))
+        assert starts == (0, 2, 3) and all(m is b for m, b in zip(merged, blocks))
+        assert np.array_equal(np.concatenate(merged)[:, 0], [4.0, 4.0, 3.0, 1.75, 1.0, 0.5])
+        # Streamed, the merges hold about two blocks, not the N x D stack.
+        cfg = ExperimentConfig(seed=1, dimension=3000, n_experts=1000)
+        next(_expert_blocks(cfg))  # numpy.random's lazy import, outside the trace
         tracemalloc.start()
         try:
-            merges = _uniform_merges(experts)
+            for _ in _merged_blocks(_expert_blocks(cfg)):
+                pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert merges is experts
-        assert peak < experts.nbytes / 10
+        assert peak < 1000 * 3000 * 8 / 10
 
     # (1, 50): at D = 1 numpy's mean sums pairwise, so only this bound holds there.
     @pytest.mark.parametrize("dim, n", [*_MERGE_SHAPES, (1, 50)])
     def test_within_ulps_of_weighted_gemv(self, dim, n):
-        experts = gen_experts(ExperimentConfig(seed=dim + n, dimension=dim, n_experts=n))
-        merges = _uniform_merges(experts.copy())
+        cfg = ExperimentConfig(seed=dim + n, dimension=dim, n_experts=n)
+        experts, merges = gen_experts(cfg, low_rank=False), uniform_merges(cfg)
         eps = np.finfo(np.float64).eps
         for k in range(1, n + 1):
             gemv = merge.merge_linear(experts[:k], merge.MergeWeights.uniform(k))
@@ -244,7 +258,7 @@ class TestUniformMerges:
         monkeypatch.setattr(merge, "merge_linear", no_merge)
         monkeypatch.setattr(merge.MergeWeights, "uniform", staticmethod(no_merge))
         cfg = ExperimentConfig(seed=9, dimension=100, n_experts=6)
-        experts = gen_experts(cfg)
+        experts = gen_experts(cfg, low_rank=False)
         sat, study = run_saturation(cfg), run_rht_study(cfg)
         for n, (sat_row, study_row) in enumerate(zip(sat.rows, study.rows), 1):
             var = float(experts[:n].mean(axis=0).var())
@@ -491,7 +505,7 @@ class TestRunRhtStudy:
             seed=12, dimension=200, n_experts=4, spectrum=SpectrumDescriptor("geometric", 100.0)
         )
         rep = run_rht_study(cfg)
-        experts = gen_experts(cfg)
+        experts = gen_experts(cfg, low_rank=False)
         task = gen_quadratic_task(cfg)
         lam_mean = float(task.eigenvalues.mean())
         for n, row in enumerate(rep.rows, 1):
@@ -550,6 +564,72 @@ class TestRunRhtStudy:
             tracemalloc.stop()
         assert peak < d * d * 8 / 4
         assert rep.extra["tail_diagnostics"] is not None
+
+
+def whole_stack_reports(cfg):
+    """run_saturation and run_rht_study with every cell that reads the experts
+    recomputed from the whole (N, D) stack, one expression each."""
+    d, n = cfg.dimension, cfg.n_experts
+    gen = RngStream(cfg.seed, 1).generator()
+    z0 = gen.normal(size=d)
+    zs = gen.normal(size=(n, d))
+    experts = math.sqrt(cfg.sigma2) * (math.sqrt(cfg.rho) * z0 + math.sqrt(1.0 - cfg.rho) * zs)
+    merges = np.cumsum(experts, axis=0) / np.arange(1.0, n + 1.0)[:, None]
+    sat = run_saturation(cfg)
+    se = math.sqrt(2.0 / max(d - 1, 1))
+    for row, v in zip(sat.rows, merges.var(axis=1).tolist()):
+        row[2:4] = v, v * se
+    task = gen_quadratic_task(cfg)
+    p = cfg.rht_params
+    transformed = [rht.apply_rht(m, p, RngStream(cfg.seed, 100 + k)) for k, m in enumerate(merges, 1)]
+    offsets = np.stack([*merges, *transformed], axis=1) - task.theta_star[:, None]
+    losses, _ = geometry.mean_rotated_losses(task.eigenvalues, offsets)
+    study = run_rht_study(cfg)
+    for row, lb, lr, m, t in zip(study.rows, *losses.reshape(2, -1).tolist(), merges, transformed):
+        row[1:] = lb, lr, float(m.var()), float(t.var())
+    if d >= 10_000:
+        study.extra["tail_diagnostics"] = dataclasses.asdict(rht.tail_diagnostics(transformed[-1]))
+    return sat, study
+
+
+class TestStreamedRunners:
+    # Blocks of 4 rows: N = 3, 4 and 5 are below, equal to and above one
+    # block, and N = 5 and 9 end on a one-row block, whose losses are still
+    # summed as columns of a (D, 2) array (a lone (D, 1) column numpy sums
+    # pairwise).
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
+    @pytest.mark.parametrize("dim", [1, 7, 500, 10_000])
+    def test_reports_equal_the_whole_stack(self, dim, n, monkeypatch):
+        monkeypatch.setattr(experiments, "_BLOCK_NORMALS", 4 * dim)
+        cfg = ExperimentConfig(seed=dim + n, dimension=dim, n_experts=n, sigma2=2.5, rho=0.3)
+        for expected, got in zip(whole_stack_reports(cfg), (run_saturation(cfg), run_rht_study(cfg))):
+            assert got.to_json() == expected.to_json()
+            assert got.to_csv() == expected.to_csv()
+
+    def test_saturation_holds_no_stack(self):
+        d, n = 10_000, 1000
+        cfg = ExperimentConfig(seed=13, dimension=d, n_experts=n)
+        run_saturation(ExperimentConfig(dimension=10, n_experts=2))  # lazy imports, outside the trace
+        tracemalloc.start()
+        try:
+            run_saturation(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * n * d * 8
+
+    def test_rht_study_holds_no_stack(self):
+        # Row blocks, O(D) vectors and the coverage proxy's fixed arrays.
+        d, n = 10_000, 200
+        cfg = ExperimentConfig(seed=14, dimension=d, n_experts=n)
+        run_rht_study(ExperimentConfig(dimension=10, n_experts=2))  # lazy imports, outside the trace
+        tracemalloc.start()
+        try:
+            run_rht_study(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 / 3
 
 
 class TestReportIO:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,7 @@ class TestMap:
         ys = rht_map(xs, p)
         assert np.array_equal(ys, -rht_map(-xs, p)[...])
         assert np.all(np.diff(ys) > 0)
+        assert xs.tobytes() == np.linspace(-20, 20, 10_001).tobytes()
 
 
 class TestInverse:
@@ -115,6 +117,7 @@ class TestGaussianDifference:
         out = gaussian_difference(w, 0.0, 0.5, RngStream(51, 2))
         assert abs(out.mean()) < 0.01
         assert out.var() == pytest.approx(1.25, rel=0.01)
+        assert w.tobytes() == RngStream(51, 1).generator().normal(size=10**6).tobytes()
 
     def test_streams_differ_but_agree_statistically(self):
         w = RngStream(51, 3).generator().normal(size=200_000)
@@ -150,6 +153,7 @@ class TestApply:
         out = apply_rht(w, p, RngStream(52, 1))
         centered = w - w.mean()
         assert np.max(np.abs(out - centered)) < 1e-2
+        assert w.tobytes() == RngStream(52, 0).generator().normal(size=10_000).tobytes()
 
     def test_matches_analytic_density(self):
         p = RHTParams(gamma=0.5, alpha=0.0, sigma_g_ratio=0.1)
@@ -313,6 +317,14 @@ class TestForward:
         # A row alone gives the same outputs as within the stack.
         assert all(np.array_equal(net.forward(draws[i : i + 1], grid)[0], ref[i]) for i in range(20))
 
+    def test_leaves_its_inputs_unchanged(self):
+        net = TinyNetSpec()
+        grid = net.grid()
+        draws = RngStream(56, 4).generator().normal(size=(5, net.param_count))
+        before = draws.tobytes(), grid.tobytes()
+        net.forward(draws, grid)
+        assert (draws.tobytes(), grid.tobytes()) == before
+
     @pytest.mark.parametrize(
         "shape", [(), (32,), (33,), (3, 32), (3, 34), (2, 3, 33)],
         ids=["scalar", "short-vector", "vector", "narrow-stack", "wide-stack", "3-d"],
@@ -344,6 +356,20 @@ class TestCoverageProxy:
             assert coverage_proxy(net, sampler, n_samples, stream) == reference_coverage(
                 net, sampler, n_samples, stream
             )
+
+    @pytest.mark.parametrize("sampler", ["gaussian", "rht"])
+    def test_peak_is_draws_and_two_output_arrays(self, sampler):
+        # The (n, 33) draws, the (n, 64) outputs and var's one temporary of
+        # their size; the forward blocks and the rht map's are far smaller.
+        net, n = TinyNetSpec(), 2000
+        coverage_proxy(net, sampler, 1000, RngStream(57, 0))  # lazy imports, outside the trace
+        tracemalloc.start()
+        try:
+            coverage_proxy(net, sampler, n, RngStream(57, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n * (net.param_count + 2 * 64)
 
     @pytest.mark.parametrize("sampler", ["zero", "uniform"])
     def test_unknown_sampler_rejected(self, sampler):

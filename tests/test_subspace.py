@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,20 @@ class TestCertifiedSpectrum:
         ref = full_svd_report(m)
         assert rep.tail_count == 0 and rep.rank == ref.rank == 3
         assert rep.singular_values.tobytes() == ref.singular_values.tobytes()
+
+    def test_residual_holds_one_block(self):
+        # The residual M - QB is taken in one reused _RESIDUAL_ROWS x cols
+        # buffer; the sketch's other arrays are cols x k.
+        m = planted(2000, 2000, 8, 6)
+        pca_explained(planted(300, 300, 8, 6), center=False)  # lazy imports, outside the trace
+        tracemalloc.start()
+        try:
+            rep = pca_explained(m, center=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.rank == 8 and rep.tail_count == 1992
+        assert peak < 1.5 * 256 * 2000 * 8
 
     def test_all_zero_falls_back(self):
         rep = pca_explained(np.zeros((80, 90)), center=False)
