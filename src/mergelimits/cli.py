@@ -72,8 +72,10 @@ def _write_pvec(vec: np.ndarray, args, name: str) -> None:
 
 def cmd_gen_experts(args) -> None:
     cfg = _load_config(args)
-    for i, e in enumerate(experiments.gen_experts(cfg, low_rank=args.low_rank)):
-        _write_pvec(e, args, f"expert_{i:03d}")
+    # Each expert is written as its block arrives: no N x D stack is held.
+    for start, block in experiments.gen_experts(cfg, low_rank=args.low_rank):
+        for i, e in enumerate(block, start):
+            _write_pvec(e, args, f"expert_{i:03d}")
 
 
 def cmd_merge(args) -> None:
@@ -85,7 +87,7 @@ def cmd_merge(args) -> None:
         if row.shape != first.shape:
             raise ConfigError("experts must share one dimension")
         experts[i] = row
-    if args.weights:
+    if args.weights is not None:
         try:
             alphas = np.array([float(x) for x in args.weights.split(",")])
         except ValueError as e:

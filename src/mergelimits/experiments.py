@@ -23,7 +23,7 @@ import numpy as np
 
 from . import geometry, merge, rht
 from .errors import MAX_SIZE, ConfigError, NumericError, require_real, require_size
-from .tensorio import RngStream
+from .tensorio import RngStream, normal_blocks
 
 SCHEMA_VERSION = 8
 
@@ -180,77 +180,65 @@ def emit_report(report: Report, fmt: str, path) -> None:
         f.write(payload)
 
 
-# Normals per block of expert rows: a block holds max(1, _BLOCK_NORMALS // D)
-# rows, so the runners hold O(D) of the N x D stack at a time.
-_BLOCK_NORMALS = 1 << 16
-
-
-def _expert_blocks(cfg: ExperimentConfig) -> Iterator[tuple[int, np.ndarray]]:
-    """The dense gen_experts rows as (index of the first row, row block).
-    Consecutive draws from one generator equal one large draw, so the blocks
-    hold the bits of one whole-stack draw. The size check and the draw of z0
-    run on the call, the blocks as they are taken."""
-    d, n = cfg.dimension, cfg.n_experts
-    require_size(n, d, "n_experts x dimension")
-    gen = RngStream(cfg.seed, 1).generator()
-    shared = math.sqrt(cfg.rho) * gen.normal(size=d)
-    rows = max(1, _BLOCK_NORMALS // d)
-
-    def blocks():
-        for start in range(0, n, rows):
-            # sigma (sqrt(rho) z0 + sqrt(1 - rho) z_i), combined in place: IEEE
-            # + and * commute, so these are the bits of that expression.
-            block = gen.normal(size=(min(rows, n - start), d))
-            block *= math.sqrt(1.0 - cfg.rho)
-            block += shared
-            block *= math.sqrt(cfg.sigma2)
-            yield start, block
-
-    return blocks()
-
-
-def gen_experts(cfg: ExperimentConfig, low_rank: bool) -> np.ndarray:
-    """n equicorrelated expert deltas, the rows of an (n, D) float64 array.
+def gen_experts(cfg: ExperimentConfig, low_rank: bool = False) -> Iterator[tuple[int, np.ndarray]]:
+    """n equicorrelated expert deltas from stream (seed, 1), as (index of the
+    first row, row block) pairs of float64 rows of length D (see
+    tensorio.normal_blocks): the N x D stack is never held. The config checks
+    and the draw of z0 run on the call, the blocks as they are taken.
 
     With low_rank, each delta, read as a √D × √D matrix m, is overwritten
     in place by its projection onto its top-r left singular vectors,
     rescaled to keep the Frobenius norm (second moments stay near target).
     The top r are the top-r eigenpairs of the Gram matrix m·mᵀ, so no full
     SVD is computed: U_r·U_rᵀ·m is the truncated SVD to round-off
-    eps·σ₁/gap. A Gram matrix that overflows is a NumericError. Every BLAS
-    call in the loop goes through scipy: numpy and scipy each load their
-    own OpenBLAS, and alternating between them leaves one thread pool
-    spinning while the other works (2-3× slower on a 2-core host).
+    eps·σ₁/gap. Each projected row is yielded as a block of its own, so a
+    Gram matrix that overflows, a NumericError, comes after every row before
+    it. The rows share one √D × √D work array, so no row allocates (and
+    page-faults) D-sized temporaries. Every BLAS call in the loop goes
+    through scipy: numpy and scipy each load their own OpenBLAS, and
+    alternating between them leaves one thread pool spinning while the
+    other works (2-3× slower on a 2-core host).
     """
-    blocks = _expert_blocks(cfg)
-    d, n = cfg.dimension, cfg.n_experts
-    experts = np.empty((n, d))
-    for start, block in blocks:
-        experts[start : start + len(block)] = block
-    if not low_rank:
-        return experts
+    d, n, r = cfg.dimension, cfg.n_experts, cfg.rank
+    require_size(n, d, "n_experts x dimension")
+    if low_rank:
+        side = math.isqrt(d)
+        if side * side != d:
+            raise ConfigError(f"low-rank experts need a square dimension, got {d}")
+        if r > side:
+            raise ConfigError(f"rank {r} exceeds matrix side {side}")
+        from scipy.linalg import blas, eigh
+        work = np.empty((side, side), order="F")  # each row's Gram matrix, then m, then its product
+    gen = RngStream(cfg.seed, 1).generator()
+    shared = math.sqrt(cfg.rho) * gen.normal(size=d)
 
-    d_out = int(round(math.sqrt(d)))
-    if d_out * d_out != d:
-        raise ConfigError(f"low-rank experts need a square dimension, got {d}")
-    if cfg.rank > d_out:
-        raise ConfigError(f"rank {cfg.rank} exceeds matrix side {d_out}")
-    from scipy.linalg import blas, eigh
+    def blocks():
+        for start, block in normal_blocks(gen, n, d):
+            # sigma (sqrt(rho) z0 + sqrt(1 - rho) z_i), combined in place: IEEE
+            # + and * commute, so these are the bits of that expression.
+            block *= math.sqrt(1.0 - cfg.rho)
+            block += shared
+            block *= math.sqrt(cfg.sigma2)
+            if not low_rank:
+                yield start, block
+                continue
+            for i, row in enumerate(block, start):
+                m = row.reshape(side, side)
+                gram = blas.dsyrk(1.0, m.T, trans=1, c=work, overwrite_c=1)  # upper triangle of m·mᵀ
+                total = float(np.trace(gram))
+                if not math.isfinite(total):
+                    raise NumericError(f"expert {i}: squared Frobenius norm overflows ({total})")
+                w, u = eigh(gram, lower=False, subset_by_index=[side - r, side - 1], overwrite_a=True,
+                            check_finite=False)
+                left = u[:, ::-1]
+                work[:] = m  # the Fortran-ordered copy dgemm would make
+                right = blas.dgemm(1.0, left, work, trans_a=1)
+                kept = math.sqrt(float(np.sum(np.maximum(w, 0.0))))
+                scale = math.sqrt(total) / kept if kept > 0 else 1.0
+                m[:] = blas.dgemm(scale, left, right, c=work, overwrite_c=1)
+                yield i, row[None]
 
-    r = cfg.rank
-    for i in range(n):
-        m = experts[i].reshape(d_out, d_out)
-        gram = blas.dsyrk(1.0, m.T, trans=1)  # upper triangle of m·mᵀ
-        total = float(np.trace(gram))
-        if not math.isfinite(total):
-            raise NumericError(f"expert {i}: squared Frobenius norm overflows ({total})")
-        w, u = eigh(gram, lower=False, subset_by_index=[d_out - r, d_out - 1], check_finite=False)
-        left = u[:, ::-1]
-        right = blas.dgemm(1.0, left, m, trans_a=1)
-        kept = math.sqrt(float(np.sum(np.maximum(w, 0.0))))
-        scale = math.sqrt(total) / kept if kept > 0 else 1.0
-        experts[i] = blas.dgemm(scale, left, right).reshape(-1)
-    return experts
+    return blocks()
 
 
 def gen_quadratic_task(cfg: ExperimentConfig) -> geometry.QuadraticTask:
@@ -304,7 +292,7 @@ def run_saturation(cfg: ExperimentConfig) -> Report:
     at the least i >= 1 with i (i + 1) > nmax. A stop not below N is None.
     """
     n_total, d = cfg.n_experts, cfg.dimension
-    merges = _merged_blocks(_expert_blocks(cfg))
+    merges = _merged_blocks(gen_experts(cfg))
     var_mc = np.empty(n_total)  # before the sweep: N rows too many to hold fail at once
     for start, block in merges:
         block.var(axis=1, out=var_mc[start : start + len(block)])
@@ -397,7 +385,7 @@ def run_rht_study(cfg: ExperimentConfig) -> Report:
     of variation, the coverage-proxy pair (gaussian vs rht samplers at a
     shared seed) and tail diagnostics of the last transformed delta.
     """
-    merges = _merged_blocks(_expert_blocks(cfg))
+    merges = _merged_blocks(gen_experts(cfg))
     cells = np.empty((cfg.n_experts, 4))  # before the sweep: N rows too many to hold fail at once
     task = gen_quadratic_task(cfg)
     p = cfg.rht_params

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, require_size
-from .tensorio import RngStream, as_matrix, as_pvec
+from .tensorio import RngStream, as_matrix, as_pvec, normal_blocks
 
 _ANGLE_TOL = 1e-10
 
@@ -221,12 +221,6 @@ def mean_rotated_losses(eigenvalues, vectors) -> tuple[np.ndarray, float]:
     return 0.5 * np.sum(v * v, axis=0) * mean, cv
 
 
-# Normals drawn per batch in kinematics_transition. Consecutive draws from
-# one generator give the same numbers as a single large draw, so this bounds
-# memory without changing results.
-_CHUNK_NORMALS = 1 << 16
-
-
 def kinematics_transition(
     dim: int,
     cone_or_subspace,
@@ -272,11 +266,8 @@ def kinematics_transition(
         raise ConfigError(f"dim {dim} disagrees with cone axis dim {cone_or_subspace.axis.size}")
     cos2 = math.cos(min(cone_or_subspace.half_angle + _ANGLE_TOL, math.pi / 2)) ** 2
     k_top = int(ks.max())
-    gen = stream.generator()
-    batch = max(1, _CHUNK_NORMALS // dim)
     hits = np.zeros(k_top, dtype=np.int64)
-    for start in range(0, trials, batch):
-        g = gen.normal(size=(min(batch, trials - start), dim))
+    for _, g in normal_blocks(stream.generator(), trials, dim):
         c = np.cumsum(np.square(g, out=g), axis=1)
         hits += np.count_nonzero(c[:, :k_top] >= cos2 * c[:, -1:], axis=0)
     p = hits[ks - 1] / trials

@@ -19,6 +19,7 @@ import numbers
 import os
 import struct
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -81,6 +82,19 @@ class RngStream:
     def substream(self, offset: int) -> "RngStream":
         """Derived independent stream, for splitting work across workers."""
         return RngStream(self.seed, (self.stream_id + 1 + offset) % 2**64)
+
+
+# A block holds at most 2¹⁶ normals (512 KiB), or one row when a row is longer.
+_BLOCK_NORMALS = 1 << 16
+
+
+def normal_blocks(gen: np.random.Generator, n: int, cols: int) -> Iterator[tuple[int, np.ndarray]]:
+    """n rows of cols standard normals from gen, as (index of the first row,
+    row block). Consecutive draws from one generator equal one large draw, so
+    the blocks hold the bits of gen.normal(size=(n, cols)) in O(cols) memory."""
+    rows = max(1, _BLOCK_NORMALS // cols)
+    for start in range(0, n, rows):
+        yield start, gen.normal(size=(min(rows, n - start), cols))
 
 
 def _read_exact(f, n: int, offset: int, what: str) -> bytes:

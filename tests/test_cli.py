@@ -7,13 +7,14 @@ import resource
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mergelimits
-from mergelimits import cli, geometry
+from mergelimits import cli, geometry, tensorio
 from mergelimits.cli import build_parser, main
 from mergelimits.experiments import MAX_SIZE, ExperimentConfig, Report, gen_experts
 from mergelimits.tensorio import read_pvec, write_matrix, write_pvec
@@ -29,6 +30,11 @@ def small_config(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def expert_stack(cfg, low_rank):
+    """cfg's streamed library experts as one (N, D) array."""
+    return np.concatenate([block for _, block in gen_experts(cfg, low_rank=low_rank)])
 
 
 def test_import_leaves_scipy_submodules_unloaded():
@@ -129,7 +135,7 @@ class TestGenExperts:
         path.write_text(json.dumps(dataclasses.asdict(cfg)))
         out = tmp_path / "lr"
         assert run(["gen-experts", "--config", path, "--low-rank", "--out", out]) == 0
-        for i, e in enumerate(gen_experts(cfg, low_rank=True)):
+        for i, e in enumerate(expert_stack(cfg, low_rank=True)):
             written = read_pvec(out / f"expert_{i:03d}.mmpv")
             assert written.tobytes() == e.tobytes()
             assert np.linalg.matrix_rank(written.reshape(12, 12)) == 3
@@ -141,6 +147,52 @@ class TestGenExperts:
         assert run(["gen-experts", "--config", path, "--low-rank", "--out", out]) == 3
         assert "overflows" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflow_keeps_the_experts_before_it(self, tmp_path, capsys):
+        # Experts are written as they are made: a numeric error at expert 1
+        # leaves expert 0's file, equal to the library's expert 0.
+        cfg = ExperimentConfig(seed=1, dimension=16, n_experts=2, rank=2, sigma2=1.0)
+        sq = np.sum(expert_stack(cfg, low_rank=False) ** 2, axis=1)
+        assert sq[1] > 2 * sq[0]
+        # sigma2 sq[0] < the largest float < sigma2 sq[1]
+        cfg = dataclasses.replace(cfg, sigma2=float(np.finfo(np.float64).max / np.sqrt(sq[0] * sq[1])))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
+        out = tmp_path / "lr"
+        assert run(["gen-experts", "--config", path, "--low-rank", "--out", out]) == 3
+        assert "expert 1: squared Frobenius norm overflows" in capsys.readouterr().err
+        assert os.listdir(out) == ["expert_000.mmpv"]
+        first = next(gen_experts(cfg, low_rank=True))[1][0]
+        assert read_pvec(out / "expert_000.mmpv").tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [({"dimension": 10}, "square dimension"), ({"dimension": 16, "rank": 5}, "exceeds matrix side")],
+        ids=["non-square", "rank-past-side"],
+    )
+    def test_rejected_low_rank_writes_nothing(self, tmp_path, cfg, message, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "lr"
+        assert run(["gen-experts", "--config", path, "--low-rank", "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_holds_no_stack(self, tmp_path, capsys):
+        # Each expert is written as its block arrives: the peak is one block of
+        # 21 rows and the writes, not the 4.8 MB N x D stack.
+        n, d = 200, 3000
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 5, "dimension": d, "n_experts": n}))
+        assert run(["gen-experts", "--config", path, "--out", tmp_path / "warm"]) == 0  # lazy imports
+        tracemalloc.start()
+        try:
+            assert run(["gen-experts", "--config", path, "--out", tmp_path / "e"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 / 4
+        assert len(os.listdir(tmp_path / "e")) == n
 
     def test_seed_override_changes_output(self, tmp_path, small_config):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -173,7 +225,7 @@ class TestMerge:
         write_pvec(np.ones(2), p)
         assert run(["merge", p, "--weights", "0.4", "--out", tmp_path]) == 2
 
-    @pytest.mark.parametrize("weights", ["a,b", "0.5,", "0.5;0.5", "nan,1", "inf,0"])
+    @pytest.mark.parametrize("weights", ["a,b", "0.5,", "0.5;0.5", "nan,1", "inf,0", "", " "])
     def test_non_numeric_weights_exit_2(self, tmp_path, weights, capsys):
         p1, p2 = tmp_path / "a.mmpv", tmp_path / "b.mmpv"
         write_pvec(np.ones(2), p1)
@@ -400,10 +452,11 @@ def test_unallocatable_size_exit_2(tmp_path, argv, cfg, capsys):
         (["saturate"], {"rank": 10**20}),
         (["width", "--samples", 10**17], None),
         (["saturate"], {"n_experts": 10**18, "dimension": 4}),
+        (["gen-experts"], {"n_experts": 10**18, "dimension": 4}),
     ],
     ids=["width-samples", "kinematics-cone-dim", "kinematics-subspace-dim",
          "saturate-dimension", "saturate-rank", "width-samples-times-dim",
-         "saturate-experts-times-dim"],
+         "saturate-experts-times-dim", "gen-experts-experts-times-dim"],
 )
 def test_size_past_index_range_exit_2(tmp_path, argv, cfg, capsys):
     # numpy raises ValueError or OverflowError, not MemoryError, for these, so
@@ -420,6 +473,36 @@ def test_size_past_index_range_exit_2(tmp_path, argv, cfg, capsys):
     assert code == 2
     assert str(MAX_SIZE) in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == ([path] if cfg is not None else [])
+
+
+@pytest.mark.parametrize("normals", [1, 3 * 3025, 1 << 40], ids=["one-row", "few-rows", "all-rows"])
+def test_block_size_changes_no_output(tmp_path, normals, monkeypatch, capsys):
+    # Every streamed draw goes through tensorio.normal_blocks. The default
+    # blocks split each draw here in two (21 of 25 experts, 218 of 300
+    # trials); blocks of one row, a few rows (3 experts, 30 trials) or all
+    # rows give the same bytes.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"seed": 3, "dimension": 55 * 55, "n_experts": 25, "rank": 3, "rho": 0.3}))
+    argvs = {
+        "kinematics": ["kinematics", "--seed", 45, "--dim", 300, "--half-angle-deg", 30,
+                       "--trials", 300, "--format", "json"],
+        "saturate": ["saturate", "--config", cfg, "--format", "json"],
+        "rht-study": ["rht-study", "--config", cfg, "--format", "json"],
+        "dense": ["gen-experts", "--config", cfg],
+        "low-rank": ["gen-experts", "--config", cfg, "--low-rank"],
+    }
+
+    def outputs(root):
+        for name, argv in argvs.items():
+            assert run([*argv, "--out", root / name]) == 0
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    before = outputs(tmp_path / "default")
+    assert len(before) == 3 + 2 * 25
+    probs = [p for _, p in Report.from_json(before[Path("kinematics/kinematics.json")].decode()).rows]
+    assert probs[0] == 0.0 and probs[-1] == 1.0 and any(0.0 < p < 1.0 for p in probs)
+    monkeypatch.setattr(tensorio, "_BLOCK_NORMALS", normals)
+    assert outputs(tmp_path / "patched") == before
 
 
 class TestRhtStudy:
@@ -711,7 +794,7 @@ class TestRepeatedMain:
         path.write_text(json.dumps(dataclasses.asdict(cfg)))
         assert run(["gen-experts", "--config", path, "--low-rank", "--out", tmp_path / "lr"]) == 0
         assert run(["gen-experts", "--config", path, "--out", tmp_path / "dense"]) == 0
-        for i, e in enumerate(gen_experts(cfg, low_rank=False)):
+        for i, e in enumerate(expert_stack(cfg, low_rank=False)):
             written = read_pvec(tmp_path / "dense" / f"expert_{i:03d}.mmpv")
             assert written.tobytes() == e.tobytes()
             assert np.linalg.matrix_rank(written.reshape(12, 12)) == 12

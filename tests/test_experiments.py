@@ -9,14 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mergelimits import experiments, geometry, merge, rht
+from mergelimits import geometry, merge, rht, tensorio
 from mergelimits.errors import ConfigError, NumericError
 from mergelimits.experiments import (
     MAX_SIZE,
     ExperimentConfig,
     Report,
     SpectrumDescriptor,
-    _expert_blocks,
     _merged_blocks,
     emit_report,
     gen_experts,
@@ -27,6 +26,11 @@ from mergelimits.experiments import (
 )
 from mergelimits.plotting import plot_svg
 from mergelimits.tensorio import RngStream
+
+
+def expert_stack(cfg, low_rank=False):
+    """cfg's streamed experts as one (N, D) array."""
+    return np.concatenate([block for _, block in gen_experts(cfg, low_rank=low_rank)])
 
 
 class TestSpectrumDescriptor:
@@ -88,20 +92,20 @@ class TestExperimentConfig:
 class TestGenExperts:
     def test_fully_correlated_identical(self):
         cfg = ExperimentConfig(seed=3, dimension=100, n_experts=4, rho=1.0)
-        experts = gen_experts(cfg, low_rank=False)
+        experts = expert_stack(cfg)
         for e in experts[1:]:
             assert np.allclose(e, experts[0], atol=1e-12)
 
     def test_independent_cross_correlation_small(self):
         cfg = ExperimentConfig(seed=4, dimension=100_000, n_experts=3, rho=0.0)
-        a, b, c = gen_experts(cfg, low_rank=False)
+        a, b, c = expert_stack(cfg)
         for x, y in [(a, b), (a, c), (b, c)]:
             r = float(np.corrcoef(x, y)[0, 1])
             assert abs(r) <= 0.01
 
     def test_default_rho_recovered(self):
         cfg = ExperimentConfig(seed=5, dimension=100_000, n_experts=4, rho=0.5)
-        experts = gen_experts(cfg, low_rank=False)
+        experts = expert_stack(cfg)
         for i in range(4):
             for j in range(i + 1, 4):
                 r = float(np.corrcoef(experts[i], experts[j])[0, 1])
@@ -109,19 +113,19 @@ class TestGenExperts:
 
     def test_marginal_variance(self):
         cfg = ExperimentConfig(seed=6, dimension=100_000, n_experts=2, sigma2=2.0, rho=0.3)
-        for e in gen_experts(cfg, low_rank=False):
+        for e in expert_stack(cfg):
             assert e.var() == pytest.approx(2.0, rel=0.03)
 
     def test_determinism(self):
         cfg = ExperimentConfig(seed=7, dimension=50, n_experts=2)
-        a = gen_experts(cfg, low_rank=False)
-        b = gen_experts(cfg, low_rank=False)
+        a = expert_stack(cfg)
+        b = expert_stack(cfg)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_low_rank_second_moments(self):
         cfg = ExperimentConfig(seed=8, dimension=400, n_experts=6, rank=4, sigma2=1.5)
-        deltas = gen_experts(cfg, low_rank=True)
-        full = gen_experts(cfg, low_rank=False)
+        deltas = expert_stack(cfg, low_rank=True)
+        full = expert_stack(cfg)
         for d, f in zip(deltas, full):
             assert d.shape == f.shape == (400,) and d.dtype == np.float64
             # Frobenius rescale preserves the total second moment within 5%.
@@ -132,7 +136,7 @@ class TestGenExperts:
     )
     def test_low_rank_is_rescaled_truncated_svd(self, seed, side, rank):
         cfg = ExperimentConfig(seed=seed, dimension=side * side, n_experts=3, rank=rank)
-        for d, f in zip(gen_experts(cfg, low_rank=True), gen_experts(cfg, low_rank=False)):
+        for d, f in zip(expert_stack(cfg, low_rank=True), expert_stack(cfg)):
             m = f.reshape(side, side)
             u, s, vt = np.linalg.svd(m)
             rescale = np.linalg.norm(s) / np.linalg.norm(s[:rank])
@@ -149,20 +153,44 @@ class TestGenExperts:
          (3, 3000, 7, 1.0, 0.5), (4, 64, 200, 1e-3, 0.999), (5, 4096, 3, 9.0, 0.01)],
     )
     def test_equals_the_shared_factor_expression(self, seed, dim, n, sigma2, rho):
-        # The stack is combined in place; it must hold the bits of the
-        # expression sigma (sqrt(rho) z0 + sqrt(1 - rho) zs).
+        # Each block is combined in place; together they must hold the bits
+        # of the expression sigma (sqrt(rho) z0 + sqrt(1 - rho) zs).
         cfg = ExperimentConfig(seed=seed, dimension=dim, n_experts=n, sigma2=sigma2, rho=rho)
         gen = RngStream(seed, 1).generator()
         z0 = gen.normal(size=dim)
         zs = gen.normal(size=(n, dim))
         ref = math.sqrt(sigma2) * (math.sqrt(rho) * z0 + math.sqrt(1.0 - rho) * zs)
-        experts = gen_experts(cfg, low_rank=False)
+        experts = expert_stack(cfg)
         assert experts.shape == (n, dim) and experts.dtype == np.float64
         assert experts.tobytes() == ref.tobytes()
 
     def test_low_rank_needs_square_dim(self):
         with pytest.raises(ConfigError):
             gen_experts(ExperimentConfig(dimension=10), low_rank=True)
+
+    @pytest.mark.parametrize(
+        "fields, low_rank, match",
+        [({"n_experts": 10**18, "dimension": 4}, False, str(MAX_SIZE)),
+         ({"dimension": 10}, True, "square dimension"),
+         ({"dimension": 16, "rank": 5}, True, "exceeds matrix side")],
+        ids=["experts-times-dim", "non-square", "rank-past-side"],
+    )
+    def test_rejects_on_the_call(self, fields, low_rank, match, monkeypatch):
+        # Every ConfigError comes from the call itself, before any stream is opened.
+        def no_draw(self):
+            raise AssertionError("a rejected config opened a random stream")
+
+        monkeypatch.setattr(RngStream, "generator", no_draw)
+        with pytest.raises(ConfigError, match=match):
+            gen_experts(ExperimentConfig(**fields), low_rank=low_rank)
+
+    @pytest.mark.parametrize("dim, n", [(1, 1), (3000, 21), (3000, 22), (10_000, 13)])
+    def test_blocks_tile_the_rows(self, dim, n):
+        # max(1, 2**16 // D) rows a block; the last one holds what is left.
+        rows = max(1, 2**16 // dim)
+        blocks = list(gen_experts(ExperimentConfig(seed=2, dimension=dim, n_experts=n)))
+        assert [start for start, _ in blocks] == list(range(0, n, rows))
+        assert [b.shape for _, b in blocks] == [(min(rows, n - s), dim) for s in range(0, n, rows)]
 
 
 class TestGenQuadraticTask:
@@ -209,17 +237,17 @@ _MERGE_SHAPES = [(1, 1), (1, 7), (3, 50), (500, 10), (3000, 10), (3000, 200), (4
 
 def uniform_merges(cfg):
     """The streamed uniform merges of cfg's experts, stacked."""
-    return np.concatenate([block for _, block in _merged_blocks(_expert_blocks(cfg))])
+    return np.concatenate([block for _, block in _merged_blocks(gen_experts(cfg))])
 
 
 class TestUniformMerges:
     @pytest.mark.parametrize("dim, n", _MERGE_SHAPES)
     def test_rows_are_prefix_means(self, dim, n, monkeypatch):
         # Blocks of 3 rows: every n > 3 carries its running sum across blocks.
-        monkeypatch.setattr(experiments, "_BLOCK_NORMALS", 3 * dim)
+        monkeypatch.setattr(tensorio, "_BLOCK_NORMALS", 3 * dim)
         for seed in range(5):
             cfg = ExperimentConfig(seed=seed, dimension=dim, n_experts=n)
-            experts, merges = gen_experts(cfg, low_rank=False), uniform_merges(cfg)
+            experts, merges = expert_stack(cfg), uniform_merges(cfg)
             for k in range(1, n + 1):
                 assert np.array_equal(merges[k - 1], experts[:k].mean(axis=0))
 
@@ -230,10 +258,10 @@ class TestUniformMerges:
         assert np.array_equal(np.concatenate(merged)[:, 0], [4.0, 4.0, 3.0, 1.75, 1.0, 0.5])
         # Streamed, the merges hold about two blocks, not the N x D stack.
         cfg = ExperimentConfig(seed=1, dimension=3000, n_experts=1000)
-        next(_expert_blocks(cfg))  # numpy.random's lazy import, outside the trace
+        next(gen_experts(cfg))  # numpy.random's lazy import, outside the trace
         tracemalloc.start()
         try:
-            for _ in _merged_blocks(_expert_blocks(cfg)):
+            for _ in _merged_blocks(gen_experts(cfg)):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -244,7 +272,7 @@ class TestUniformMerges:
     @pytest.mark.parametrize("dim, n", [*_MERGE_SHAPES, (1, 50)])
     def test_within_ulps_of_weighted_gemv(self, dim, n):
         cfg = ExperimentConfig(seed=dim + n, dimension=dim, n_experts=n)
-        experts, merges = gen_experts(cfg, low_rank=False), uniform_merges(cfg)
+        experts, merges = expert_stack(cfg), uniform_merges(cfg)
         eps = np.finfo(np.float64).eps
         for k in range(1, n + 1):
             gemv = merge.merge_linear(experts[:k], merge.MergeWeights.uniform(k))
@@ -258,7 +286,7 @@ class TestUniformMerges:
         monkeypatch.setattr(merge, "merge_linear", no_merge)
         monkeypatch.setattr(merge.MergeWeights, "uniform", staticmethod(no_merge))
         cfg = ExperimentConfig(seed=9, dimension=100, n_experts=6)
-        experts = gen_experts(cfg, low_rank=False)
+        experts = expert_stack(cfg)
         sat, study = run_saturation(cfg), run_rht_study(cfg)
         for n, (sat_row, study_row) in enumerate(zip(sat.rows, study.rows), 1):
             var = float(experts[:n].mean(axis=0).var())
@@ -505,7 +533,7 @@ class TestRunRhtStudy:
             seed=12, dimension=200, n_experts=4, spectrum=SpectrumDescriptor("geometric", 100.0)
         )
         rep = run_rht_study(cfg)
-        experts = gen_experts(cfg, low_rank=False)
+        experts = expert_stack(cfg)
         task = gen_quadratic_task(cfg)
         lam_mean = float(task.eigenvalues.mean())
         for n, row in enumerate(rep.rows, 1):
@@ -600,7 +628,7 @@ class TestStreamedRunners:
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
     @pytest.mark.parametrize("dim", [1, 7, 500, 10_000])
     def test_reports_equal_the_whole_stack(self, dim, n, monkeypatch):
-        monkeypatch.setattr(experiments, "_BLOCK_NORMALS", 4 * dim)
+        monkeypatch.setattr(tensorio, "_BLOCK_NORMALS", 4 * dim)
         cfg = ExperimentConfig(seed=dim + n, dimension=dim, n_experts=n, sigma2=2.5, rho=0.3)
         for expected, got in zip(whole_stack_reports(cfg), (run_saturation(cfg), run_rht_study(cfg))):
             assert got.to_json() == expected.to_json()

@@ -572,23 +572,3 @@ class TestKinematics:
         ks = np.arange(1, d + 1)
         assert np.all(kinematics_transition(d, cone, ks, trials, RngStream(48, 6)) == 1.0)
         assert np.all(kinematics_reference(d, cone, ks, trials, RngStream(48, 6)) == 1.0)
-
-    @pytest.mark.parametrize("chunk", ["one-trial", "all-trials"])
-    def test_chunk_size_does_not_change_result(self, monkeypatch, chunk):
-        d, trials = 30, 300
-        axis = np.zeros(d)
-        axis[0] = 1.0
-        cone = CircularCone(axis, math.radians(30))
-        cases = [(cone, k) for k in (18, 22, 26)] + [(10, 15), (cone, [26, 18, 22])]
-
-        def results():
-            return [
-                np.asarray(kinematics_transition(d, b, k, trials, RngStream(45, 106))).tolist()
-                for b, k in cases
-            ]
-
-        before = results()
-        monkeypatch.setattr(geometry, "_CHUNK_NORMALS", 1 if chunk == "one-trial" else d * d * trials)
-        after = results()
-        assert after == before
-        assert 0.0 < before[1] < 1.0
