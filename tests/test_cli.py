@@ -425,8 +425,10 @@ class TestSaturate:
         (["saturate"], {"dimension": 10**12, "n_experts": 2}),
         (["saturate"], {"n_experts": 10**12, "dimension": 4}),
         (["rht-study"], {"n_experts": 10**12, "dimension": 4}),
+        (["gen-experts"], {"dimension": 10**12, "n_experts": 2}),
     ],
-    ids=["kinematics-dim", "saturate-dimension", "saturate-n-experts", "rht-study-n-experts"],
+    ids=["kinematics-dim", "saturate-dimension", "saturate-n-experts", "rht-study-n-experts",
+         "gen-experts-dimension"],
 )
 def test_unallocatable_size_exit_2(tmp_path, argv, cfg, capsys):
     if cfg is not None:
