@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("gen-experts", cmd_gen_experts, "sample equicorrelated expert deltas", config=True)
-    p.add_argument("--low-rank", action="store_true")
+    p.add_argument("--low-rank", action="store_true",
+                   help="draw sqrt(D) x sqrt(D) factor-product experts of the config rank")
 
     p = add("merge", cmd_merge, "convex-combine expert vectors")
     p.add_argument("experts", nargs="+", help="MMPV expert files")

@@ -1,11 +1,12 @@
 """Synthetic generators, end-to-end experiment runners, and report emission.
 
 Experts are drawn with the shared-factor equicorrelation construction
-theta_i = sigma (sqrt(rho) z0 + sqrt(1 - rho) z_i), which gives exact
-pairwise correlation rho. Quadratic tasks carry a uniform or geometric
-Hessian spectrum under a Haar-random orientation. Runners produce
-Report records that serialize idempotently to CSV and JSON with the fully
-resolved config embedded.
+theta_i = sigma (sqrt(rho) z0 + sqrt(1 - rho) z_i), with z0 and z_i iid
+normal vectors or, for low-rank experts, √D × √D factor products of rank r;
+either gives variance sigma2 and exact pairwise correlation rho. Quadratic
+tasks carry a uniform or geometric Hessian spectrum under a Haar-random
+orientation. Runners produce Report records that serialize idempotently to
+CSV and JSON with the fully resolved config embedded.
 """
 
 from __future__ import annotations
@@ -180,24 +181,29 @@ def emit_report(report: Report, fmt: str, path) -> None:
         f.write(payload)
 
 
+def _factor_product(gen: np.random.Generator, side: int, r: int) -> np.ndarray:
+    """A·Bᵀ/√r for side × r matrices A then B of iid normals from gen, as a
+    1 × side² row block: a fixed-order sum of r outer products (A's columns
+    taken over √r first), so no BLAS call and the same bits on every kernel."""
+    a, b = gen.normal(size=(2, side, r))
+    a /= math.sqrt(r)
+    z = np.multiply.outer(a[:, 0], b[:, 0])
+    term = np.empty_like(z)
+    for k in range(1, r):
+        z += np.multiply.outer(a[:, k], b[:, k], out=term)
+    return z.reshape(1, side * side)
+
+
 def gen_experts(cfg: ExperimentConfig, low_rank: bool = False) -> Iterator[tuple[int, np.ndarray]]:
     """n equicorrelated expert deltas from stream (seed, 1), as (index of the
     first row, row block) pairs of float64 rows of length D (see
     tensorio.normal_blocks): the N x D stack is never held. The config checks
     and the draw of z0 run on the call, the blocks as they are taken.
 
-    With low_rank, each delta, read as a √D × √D matrix m, is overwritten
-    in place by its projection onto its top-r left singular vectors,
-    rescaled to keep the Frobenius norm (second moments stay near target).
-    The top r are the top-r eigenpairs of the Gram matrix m·mᵀ, so no full
-    SVD is computed: U_r·U_rᵀ·m is the truncated SVD to round-off
-    eps·σ₁/gap. Each projected row is yielded as a block of its own, so a
-    Gram matrix that overflows, a NumericError, comes after every row before
-    it. The rows share one √D × √D work array, so no row allocates (and
-    page-faults) D-sized temporaries. Every BLAS call in the loop goes
-    through scipy: numpy and scipy each load their own OpenBLAS, and
-    alternating between them leaves one thread pool spinning while the
-    other works (2-3× slower on a 2-core host).
+    With low_rank, z0 and then each z_i is a √D × √D factor product of rank
+    r (see _factor_product), and each expert comes as a block of its own.
+    Every entry keeps variance sigma2 and pairwise correlation rho, and each
+    expert has rank <= 2r.
     """
     d, n, r = cfg.dimension, cfg.n_experts, cfg.rank
     require_size(n, d, "n_experts x dimension")
@@ -207,36 +213,22 @@ def gen_experts(cfg: ExperimentConfig, low_rank: bool = False) -> Iterator[tuple
             raise ConfigError(f"low-rank experts need a square dimension, got {d}")
         if r > side:
             raise ConfigError(f"rank {r} exceeds matrix side {side}")
-        from scipy.linalg import blas, eigh
-        work = np.empty((side, side), order="F")  # each row's Gram matrix, then m, then its product
     gen = RngStream(cfg.seed, 1).generator()
-    shared = math.sqrt(cfg.rho) * gen.normal(size=d)
+    if low_rank:
+        shared = math.sqrt(cfg.rho) * _factor_product(gen, side, r)[0]
+        rows = ((i, _factor_product(gen, side, r)) for i in range(n))
+    else:
+        shared = math.sqrt(cfg.rho) * gen.normal(size=d)
+        rows = normal_blocks(gen, n, d)
 
     def blocks():
-        for start, block in normal_blocks(gen, n, d):
+        for start, block in rows:
             # sigma (sqrt(rho) z0 + sqrt(1 - rho) z_i), combined in place: IEEE
             # + and * commute, so these are the bits of that expression.
             block *= math.sqrt(1.0 - cfg.rho)
             block += shared
             block *= math.sqrt(cfg.sigma2)
-            if not low_rank:
-                yield start, block
-                continue
-            for i, row in enumerate(block, start):
-                m = row.reshape(side, side)
-                gram = blas.dsyrk(1.0, m.T, trans=1, c=work, overwrite_c=1)  # upper triangle of m·mᵀ
-                total = float(np.trace(gram))
-                if not math.isfinite(total):
-                    raise NumericError(f"expert {i}: squared Frobenius norm overflows ({total})")
-                w, u = eigh(gram, lower=False, subset_by_index=[side - r, side - 1], overwrite_a=True,
-                            check_finite=False)
-                left = u[:, ::-1]
-                work[:] = m  # the Fortran-ordered copy dgemm would make
-                right = blas.dgemm(1.0, left, work, trans_a=1)
-                kept = math.sqrt(float(np.sum(np.maximum(w, 0.0))))
-                scale = math.sqrt(total) / kept if kept > 0 else 1.0
-                m[:] = blas.dgemm(scale, left, right, c=work, overwrite_c=1)
-                yield i, row[None]
+            yield start, block
 
     return blocks()
 

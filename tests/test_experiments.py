@@ -25,6 +25,7 @@ from mergelimits.experiments import (
     run_saturation,
 )
 from mergelimits.plotting import plot_svg
+from mergelimits.subspace import sv_tail_stats
 from mergelimits.tensorio import RngStream
 
 
@@ -123,29 +124,66 @@ class TestGenExperts:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_low_rank_second_moments(self):
-        cfg = ExperimentConfig(seed=8, dimension=400, n_experts=6, rank=4, sigma2=1.5)
-        deltas = expert_stack(cfg, low_rank=True)
-        full = expert_stack(cfg)
-        for d, f in zip(deltas, full):
-            assert d.shape == f.shape == (400,) and d.dtype == np.float64
-            # Frobenius rescale preserves the total second moment within 5%.
-            assert float((d**2).mean()) == pytest.approx(float((f**2).mean()), rel=0.05)
+        # Over 300 seeds, the mean square of the entries sits within 4 z of
+        # sigma2 and the mean off-diagonal covariance within 4 z of rho sigma2,
+        # at rho 0, 0.5, 0.9 and 1, and at rank = side.
+        sigma2, n = 1.5, 3
+        for side, rank, rho in [(16, 2, 0.0), (16, 2, 0.5), (16, 2, 0.9), (16, 2, 1.0), (8, 8, 0.5)]:
+            squares, covs = [], []
+            for seed in range(300):
+                cfg = ExperimentConfig(seed=seed, dimension=side * side, n_experts=n, rank=rank,
+                                       sigma2=sigma2, rho=rho)
+                x = expert_stack(cfg, low_rank=True)
+                gram = x @ x.T / x.shape[1]
+                squares.append(np.trace(gram) / n)
+                covs.append(gram[np.triu_indices(n, 1)].mean())
+            for values, target in [(squares, sigma2), (covs, rho * sigma2)]:
+                values = np.array(values)
+                z = (values.mean() - target) / (values.std(ddof=1) / math.sqrt(values.size))
+                assert abs(z) <= 4.0, (side, rank, rho, target, z)
 
     @pytest.mark.parametrize(
         "seed, side, rank", [(8, 64, 4), (9, 64, 4), (10, 256, 8), (11, 256, 8)]
     )
-    def test_low_rank_is_rescaled_truncated_svd(self, seed, side, rank):
+    def test_low_rank_experts_have_rank_2r(self, seed, side, rank):
+        # sqrt(rho) z0 + sqrt(1 - rho) z_i is a sum of two rank-r products.
         cfg = ExperimentConfig(seed=seed, dimension=side * side, n_experts=3, rank=rank)
-        for d, f in zip(expert_stack(cfg, low_rank=True), expert_stack(cfg)):
-            m = f.reshape(side, side)
-            u, s, vt = np.linalg.svd(m)
-            rescale = np.linalg.norm(s) / np.linalg.norm(s[:rank])
-            ref = rescale * (u[:, :rank] * s[:rank]) @ vt[:rank]
-            assert d.shape == (side * side,)
-            dense = d.reshape(side, side)
-            assert np.linalg.norm(dense - ref) <= 1e-10 * np.linalg.norm(ref)
-            assert np.linalg.norm(dense) == pytest.approx(np.linalg.norm(m), rel=1e-12)
-            assert np.linalg.matrix_rank(dense) == rank
+        for e in expert_stack(cfg, low_rank=True):
+            assert e.shape == (side * side,) and e.dtype == np.float64
+            assert np.linalg.matrix_rank(e.reshape(side, side)) == 2 * rank
+
+    @pytest.mark.parametrize(
+        "seed, side, n, rank, sigma2, rho",
+        [(0, 1, 2, 1, 1.0, 0.5), (1, 12, 4, 3, 2.0, 0.2), (2, 20, 3, 20, 0.5, 0.0),
+         (3, 9, 5, 2, 1.0, 1.0)],
+    )
+    def test_low_rank_is_the_factor_construction(self, seed, side, n, rank, sigma2, rho):
+        # Stream 1 gives A then B for z0, then for each expert in turn;
+        # z = A Bᵀ / sqrt(r), and the experts are sigma (sqrt(rho) z0 + sqrt(1 - rho) z_i).
+        gen = RngStream(seed, 1).generator()
+        a, b = gen.normal(size=(2, side, rank))
+        z0 = a @ b.T / math.sqrt(rank)
+        zs = []
+        for _ in range(n):
+            a, b = gen.normal(size=(2, side, rank))
+            zs.append(a @ b.T / math.sqrt(rank))
+        ref = math.sqrt(sigma2) * (math.sqrt(rho) * z0 + math.sqrt(1.0 - rho) * np.array(zs))
+        cfg = ExperimentConfig(seed=seed, dimension=side * side, n_experts=n, rank=rank,
+                               sigma2=sigma2, rho=rho)
+        blocks = list(gen_experts(cfg, low_rank=True))
+        assert [(start, b.shape) for start, b in blocks] == [(i, (1, side * side)) for i in range(n)]
+        experts = np.concatenate([b for _, b in blocks])
+        assert np.allclose(experts, ref.reshape(n, -1), rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("side, rank, n", [(64, 4, 20), (32, 2, 20)])
+    def test_merged_low_rank_experts_saturate_the_parameter_space(self, side, rank, n):
+        # The k-expert uniform merge is sigma (sqrt(rho) z0 + sqrt(1 - rho)
+        # mean z_i): k + 1 rank-r products, so its rank grows by r per expert
+        # until it fills the side.
+        cfg = ExperimentConfig(seed=12, dimension=side * side, n_experts=n, rank=rank)
+        for start, block in _merged_blocks(gen_experts(cfg, low_rank=True)):
+            merged = block[-1].reshape(side, side)
+            assert sv_tail_stats(merged).rank == min(rank * (start + 2), side)
 
     @pytest.mark.parametrize(
         "seed, dim, n, sigma2, rho",
