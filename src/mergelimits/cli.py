@@ -79,14 +79,7 @@ def cmd_gen_experts(args) -> None:
 
 
 def cmd_merge(args) -> None:
-    # Each file goes into its row of one n x D stack, the only copy held.
-    first = tensorio.read_pvec(args.experts[0])
-    experts = np.empty((len(args.experts), first.size))
-    for i, path in enumerate(args.experts):
-        row = first if i == 0 else tensorio.read_pvec(path)
-        if row.shape != first.shape:
-            raise ConfigError("experts must share one dimension")
-        experts[i] = row
+    n = len(args.experts)
     if args.weights is not None:
         try:
             alphas = np.array([float(x) for x in args.weights.split(",")])
@@ -95,9 +88,13 @@ def cmd_merge(args) -> None:
         if not np.all(np.isfinite(alphas)):
             raise ConfigError(f"--weights must be finite, got {args.weights!r}")
         w = merge.MergeWeights(alphas)
+        if len(w) != n:
+            raise ConfigError(f"{n} experts but {len(w)} weights")
     else:
-        w = merge.MergeWeights.uniform(len(experts))
-    _write_pvec(merge.merge_linear(experts, w), args, "merged")
+        w = merge.MergeWeights.uniform(n)
+    # The weights are checked before any file is read; the files then stream into one sum.
+    rows = (tensorio.read_pvec(path) for path in args.experts)
+    _write_pvec(merge.merge_linear(rows, w), args, "merged")
 
 
 def cmd_rht(args) -> None:
@@ -153,7 +150,11 @@ def cmd_rht_study(args) -> None:
 
 def cmd_subspace(args) -> None:
     stacked = tensorio.read_matrix(args.matrix)
-    rep = subspace.pca_explained(stacked, center=not args.no_center)
+    if not args.no_center and stacked.size:
+        # This call's own matrix, centered in place: the bits of stacked - mean
+        # without a second copy. An empty one is left to pca_explained's checks.
+        stacked -= stacked.mean(axis=0, keepdims=True)
+    rep = subspace.pca_explained(stacked, center=False)
     rows = [
         [i + 1, float(sv), float(fr)]
         for i, (sv, fr) in enumerate(zip(rep.singular_values, rep.explained_fractions))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import geometry, merge, rht
 from .errors import MAX_SIZE, ConfigError, NumericError, require_real, require_size
-from .tensorio import RngStream, normal_blocks
+from .tensorio import _BLOCK_NORMALS, RngStream, normal_blocks
 
 SCHEMA_VERSION = 8
 
@@ -184,13 +184,19 @@ def emit_report(report: Report, fmt: str, path) -> None:
 def _factor_product(gen: np.random.Generator, side: int, r: int) -> np.ndarray:
     """A·Bᵀ/√r for side × r matrices A then B of iid normals from gen, as a
     1 × side² row block: a fixed-order sum of r outer products (A's columns
-    taken over √r first), so no BLAS call and the same bits on every kernel."""
+    taken over √r first), so no BLAS call and the same bits on every kernel.
+    It is formed in the row blocks of tensorio.normal_blocks, whose r terms
+    stay in cache, with each entry's operations in the same order."""
     a, b = gen.normal(size=(2, side, r))
     a /= math.sqrt(r)
-    z = np.multiply.outer(a[:, 0], b[:, 0])
-    term = np.empty_like(z)
-    for k in range(1, r):
-        z += np.multiply.outer(a[:, k], b[:, k], out=term)
+    z = np.empty((side, side))
+    rows = max(1, _BLOCK_NORMALS // side)
+    term = np.empty((min(rows, side), side))
+    for start in range(0, side, rows):
+        zb, ab = z[start : start + rows], a[start : start + rows]
+        np.multiply.outer(ab[:, 0], b[:, 0], out=zb)
+        for k in range(1, r):
+            zb += np.multiply.outer(ab[:, k], b[:, k], out=term[: len(ab)])
     return z.reshape(1, side * side)
 
 

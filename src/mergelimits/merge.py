@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .tensorio import as_matrix, as_pvec
+from .tensorio import as_pvec
 
 _SIMPLEX_TOL = 1e-12
 
@@ -49,19 +49,30 @@ class MergeWeights:
 def merge_linear(experts, w: MergeWeights) -> np.ndarray:
     """Componentwise convex combination sum_i alpha_i * theta_i.
 
-    experts is an (n, D) stack, one expert per row, or a sequence of n
-    length-D vectors, validated once as a matrix. A float64 stack is merged
-    by one gemv without a copy.
+    experts is an (n, D) stack, or a sequence or an iterator of n length-D
+    vectors, taken one row at a time: acc = alpha_0 x_0, then acc +=
+    alpha_i x_i in row order. Besides the rows it is given, it holds acc
+    and one scaled row, and with no BLAS call the bits are the same on
+    every CPU.
     """
-    try:
-        stack = as_matrix(experts)
-    except ValueError as e:  # vectors of unequal length stack to no array
-        raise ConfigError("experts must share one dimension") from e
-    if stack.shape[1] == 0:
+    if isinstance(experts, np.ndarray) and experts.ndim != 2:
+        raise ConfigError(f"experts must be a 2-D stack, got shape {experts.shape}")
+    rows, acc, n = iter(experts), None, 0
+    for alpha, row in zip(w.alphas, rows):
+        x = as_pvec(row)
+        if acc is None:
+            acc = alpha * x
+        elif x.shape != acc.shape:
+            raise ConfigError("experts must share one dimension")
+        else:
+            acc += alpha * x
+        n += 1
+    n += sum(1 for _ in rows)
+    if n != len(w):
+        raise ConfigError(f"{n} experts but {len(w)} weights")
+    if acc.size == 0:
         raise ConfigError("no parameters: the experts are empty vectors")
-    if stack.shape[0] != len(w):
-        raise ConfigError(f"{stack.shape[0]} experts but {len(w)} weights")
-    return w.alphas @ stack
+    return acc
 
 
 def merged_variance_equicorrelated(sigma2: float, rho: float, n: int) -> float:

@@ -164,7 +164,8 @@ def pca_explained(stacked_deltas: np.ndarray, center: bool) -> SpectrumReport:
     if m.shape[1] == 0:
         raise ConfigError("no parameters: the stacked matrix has zero columns")
     if center:
-        m = m - m.mean(axis=0, keepdims=True)
+        # A new array, not the caller's; a column mean that overflows makes it non-finite.
+        m = as_matrix(m - m.mean(axis=0, keepdims=True))
     k = _SKETCH_START
     while k <= min(m.shape) / 4:
         rep = _sketch_spectrum(m, k)

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -14,10 +15,10 @@ import numpy as np
 import pytest
 
 import mergelimits
-from mergelimits import cli, geometry, tensorio
+from mergelimits import cli, geometry, merge, subspace, tensorio
 from mergelimits.cli import build_parser, main
 from mergelimits.experiments import MAX_SIZE, ExperimentConfig, Report, gen_experts
-from mergelimits.tensorio import read_pvec, write_matrix, write_pvec
+from mergelimits.tensorio import RngStream, read_pvec, write_matrix, write_pvec
 
 
 @pytest.fixture
@@ -124,6 +125,54 @@ def test_low_rank_bits_do_not_depend_on_blas(tmp_path):
         assert done.returncode == 0, done.stderr
         digests.add(done.stdout.split()[-1])
     assert len(digests) == 1
+
+
+def test_low_rank_files_keep_their_bits(tmp_path):
+    # The factor products are formed by row blocks (218 and 82 rows at side
+    # 300) and hold the bits of the whole-matrix sums: sha256 over the files
+    # in name order.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 5, "dimension": 90000, "n_experts": 3, "rank": 5}))
+    assert run(["gen-experts", "--low-rank", "--config", config, "--out", tmp_path / "o"]) == 0
+    files = sorted((tmp_path / "o").iterdir())
+    assert [p.name for p in files] == ["expert_000.mmpv", "expert_001.mmpv", "expert_002.mmpv"]
+    digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
+    assert digest == "61c97d7d6bebaba231818b89efb9252fa06e1b684e62c96140deb14f9c57f8ba"
+
+
+def fixed_order_merge(rows, alphas):
+    """Reference: acc = alpha_0 x_0, then acc += alpha_i x_i in row order."""
+    acc = alphas[0] * rows[0]
+    for alpha, x in zip(alphas[1:], rows[1:]):
+        acc += alpha * x
+    return acc
+
+
+def test_merged_bits_do_not_depend_on_blas(tmp_path):
+    # merge adds the experts in file order with no BLAS call: one output
+    # under every OpenBLAS kernel and thread count, the fixed-order sum.
+    stack = RngStream(13, 0).generator().normal(size=(10, 3000))
+    paths = [str(tmp_path / f"e{i}.mmpv") for i in range(len(stack))]
+    for row, path in zip(stack, paths):
+        write_pvec(row, path)
+    code = (
+        "import hashlib, pathlib, sys, mergelimits.cli; out = pathlib.Path(sys.argv[1]); "
+        f"assert mergelimits.cli.main(['merge', *{paths!r}, '--out', str(out)]) == 0; "
+        "print(hashlib.sha256((out / 'merged.mmpv').read_bytes()).hexdigest())"
+    )
+    settings = [{"OPENBLAS_CORETYPE": c} for c in
+                ("Prescott", "Nehalem", "Sandybridge", "Haswell", "SkylakeX")]
+    settings += [{"OPENBLAS_NUM_THREADS": t} for t in ("1", "2")]
+    digests = set()
+    for i, setting in enumerate(settings):
+        env = {**os.environ, **setting, "PYTHONPATH": str(Path(mergelimits.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / f"run{i}")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.split()[-1])
+    assert len(digests) == 1
+    assert read_pvec(tmp_path / "run0" / "merged.mmpv").tobytes() == fixed_order_merge(
+        stack, merge.MergeWeights.uniform(len(stack)).alphas).tobytes()
 
 
 def test_rht_study_loads_no_scipy_stats(tmp_path):
@@ -279,6 +328,53 @@ class TestMerge:
         assert run(["merge", p, p, "--out", out]) == 2
         assert "empty vectors" in capsys.readouterr().err
         assert not (out / "merged.mmpv").exists()
+
+    @pytest.mark.parametrize("weights", ["0.5,0.5", "0.25,0.25,0.25,0.25"])
+    def test_weight_count_checked_before_any_read(self, tmp_path, weights, capsys, monkeypatch):
+        def no_read(path):
+            raise AssertionError(f"{path} was read before the weights were checked")
+
+        monkeypatch.setattr(tensorio, "read_pvec", no_read)
+        paths = [tmp_path / f"missing{i}.mmpv" for i in range(3)]
+        assert run(["merge", *paths, "--weights", weights, "--out", tmp_path / "m"]) == 2
+        n_weights = weights.count(",") + 1
+        assert f"3 experts but {n_weights} weights" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_merge_holds_one_expert_not_the_stack(self, tmp_path):
+        # The files are read one at a time into a running sum: the traced
+        # peak is the sum and two more D-sized arrays (3.1 D), not the n x D
+        # stack.
+        n, dim = 24, 1 << 15
+        gen = RngStream(14, 0).generator()
+        paths = [tmp_path / f"e{i}.mmpv" for i in range(n)]
+        for path in paths:
+            write_pvec(gen.normal(size=dim), path)
+        run(["merge", *paths[:2], "--out", tmp_path / "warm"])  # lazy imports, outside the trace
+        tracemalloc.start()
+        try:
+            assert run(["merge", *paths, "--out", tmp_path / "m"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * dim * 8 < n * dim * 8 / 4
+
+    @pytest.mark.parametrize("weights", [None, "0.1,0.2,0.3,0.4"])
+    def test_streamed_merge_is_the_fixed_order_sum(self, tmp_path, weights):
+        # From files, from an iterator, from a stack or from a list of rows:
+        # the same bits, those of the fixed-order sum.
+        stack = RngStream(15, 0).generator().normal(size=(4, 1001))
+        paths = [tmp_path / f"e{i}.mmpv" for i in range(len(stack))]
+        for row, path in zip(stack, paths):
+            write_pvec(row, path)
+        flags = [] if weights is None else ["--weights", weights]
+        assert run(["merge", *paths, *flags, "--out", tmp_path / "m"]) == 0
+        w = (merge.MergeWeights.uniform(4) if weights is None
+             else merge.MergeWeights(np.array([float(x) for x in weights.split(",")])))
+        ref = fixed_order_merge(stack, w.alphas).tobytes()
+        assert read_pvec(tmp_path / "m" / "merged.mmpv").tobytes() == ref
+        for experts in (iter(stack), (row for row in stack), stack, list(stack)):
+            assert merge.merge_linear(experts, w).tobytes() == ref
 
     def test_missing_file_exit_4(self, tmp_path):
         assert run(["merge", tmp_path / "nope.mmpv", "--out", tmp_path]) == 4
@@ -637,6 +733,33 @@ class TestSubspace:
         assert "zero columns" in capsys.readouterr().err
         assert not (tmp_path / "sub" / "subspace.csv").exists()
 
+
+    @pytest.mark.parametrize("flags", [[], ["--no-center"]], ids=["centered", "uncentered"])
+    def test_report_is_the_library_spectrum(self, tmp_path, flags):
+        # The CLI centers the matrix it read in place: the report holds the
+        # bits of pca_explained on the caller's matrix, certified or full SVD.
+        gen = np.random.default_rng(5)
+        for name, m in [("low_rank", gen.normal(size=(300, 4)) @ gen.normal(size=(4, 200)) + 3.0),
+                        ("full", gen.normal(size=(40, 90)))]:
+            p = tmp_path / f"{name}.mmmx"
+            write_matrix(m, p)
+            out = tmp_path / name
+            assert run(["subspace", p, "--format", "json", "--out", out, *flags]) == 0
+            rep = json.loads((out / "subspace.json").read_text())
+            lib = subspace.pca_explained(m, center=not flags)
+            assert [r[1] for r in rep["rows"]] == lib.singular_values.tolist()
+            assert [r[2] for r in rep["rows"]] == lib.explained_fractions.tolist()
+            assert rep["extra"]["tail_bound"] == lib.tail_bound
+            assert rep["extra"]["band_counts"] == lib.counts_per_log_band.tolist()
+
+    def test_overflowing_column_mean_exit_3(self, tmp_path, capsys):
+        m = np.ones((6, 9))
+        m[:2, 3] = 1.7e308
+        p = tmp_path / "huge.mmmx"
+        write_matrix(m, p)
+        assert run(["subspace", p, "--out", tmp_path / "sub"]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "sub").exists()
 
     def test_overflowing_singular_values_exit_3(self, tmp_path, capsys):
         p = tmp_path / "huge.mmmx"

@@ -9,13 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mergelimits import geometry, merge, rht, tensorio
+from mergelimits import experiments, geometry, merge, rht, tensorio
 from mergelimits.errors import ConfigError, NumericError
 from mergelimits.experiments import (
     MAX_SIZE,
     ExperimentConfig,
     Report,
     SpectrumDescriptor,
+    _factor_product,
     _merged_blocks,
     emit_report,
     gen_experts,
@@ -174,6 +175,27 @@ class TestGenExperts:
         assert [(start, b.shape) for start, b in blocks] == [(i, (1, side * side)) for i in range(n)]
         experts = np.concatenate([b for _, b in blocks])
         assert np.allclose(experts, ref.reshape(n, -1), rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize(
+        "side, rank, block_normals",
+        [(100, 3, None), (300, 5, None), (7, 4, 1)],
+        ids=["one-block", "partial-last-block", "one-row-blocks"],
+    )
+    def test_factor_product_is_the_whole_matrix_sum(self, side, rank, block_normals, monkeypatch):
+        # Formed by row blocks (a single one of 655 rows at side 100; 218 and
+        # 82 rows at side 300; one row each when a row is longer than a
+        # block), every entry takes the operations of the plain sum of outer
+        # products in the same order: the same bits.
+        if block_normals is not None:
+            monkeypatch.setattr(experiments, "_BLOCK_NORMALS", block_normals)
+        gen = RngStream(side, 1).generator()
+        a, b = gen.normal(size=(2, side, rank))
+        a /= math.sqrt(rank)
+        ref = np.multiply.outer(a[:, 0], b[:, 0])
+        for k in range(1, rank):
+            ref += np.multiply.outer(a[:, k], b[:, k])
+        z = _factor_product(RngStream(side, 1).generator(), side, rank)
+        assert z.shape == (1, side * side) and z.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("side, rank, n", [(64, 4, 20), (32, 2, 20)])
     def test_merged_low_rank_experts_saturate_the_parameter_space(self, side, rank, n):

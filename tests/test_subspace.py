@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mergelimits.errors import ConfigError
+from mergelimits.errors import ConfigError, NumericError
 from mergelimits.subspace import (
     N_LOG_BANDS,
     SpectrumReport,
@@ -359,6 +359,22 @@ class TestCertifiedSpectrum:
         for field in ("singular_values", "explained_fractions", "counts_per_log_band"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
         assert (a.rank, a.tail_count, a.tail_bound) == (b.rank, b.tail_count, b.tail_bound)
+
+    def test_centering_leaves_the_input_unchanged(self):
+        m = planted(600, 800, 5, 4)
+        before = m.tobytes()
+        rep = pca_explained(m, center=True)
+        assert m.tobytes() == before
+        assert rep.rank == np.linalg.matrix_rank(m - m.mean(axis=0)) == 5
+
+    def test_overflowing_column_mean_is_a_numeric_error(self):
+        # Two entries of 1.7e308 sum past the float range: the centered
+        # column is not finite, so no spectrum of it is reported.
+        m = np.ones((6, 9))
+        m[:2, 3] = 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="non-finite"):
+                pca_explained(m, center=True)
 
     def test_zero_columns_rejected(self):
         with pytest.raises(ConfigError, match="zero columns"):
