@@ -18,7 +18,6 @@ import numpy as np
 from mergelimits.plotting import plot_svg
 from mergelimits.rht import (
     RHTParams,
-    TinyNetSpec,
     coverage_proxy,
     rht_density,
     rht_map,
@@ -52,9 +51,8 @@ for gamma in (0.3, 0.5, 0.8):
 
 # Coverage proxy: output dispersion of a tiny fixed network over an input
 # grid, under Gaussian vs transformed parameter sampling at a shared seed.
-net = TinyNetSpec()
-c1, _ = coverage_proxy(net, "gaussian", 2000, RngStream(0, 50))
-c2, _ = coverage_proxy(net, "rht", 2000, RngStream(0, 50), rht_params=RHTParams())
+c1, _ = coverage_proxy("gaussian", 2000, RngStream(0, 50))
+c2, _ = coverage_proxy("rht", 2000, RngStream(0, 50), rht_params=RHTParams())
 print(f"\ncoverage proxy: gaussian {c1:.4f}, transformed {c2:.4f} "
       f"({'wider' if c2 > c1 else 'narrower'})")
 print(f"wrote rht_densities.svg to {out_dir}")

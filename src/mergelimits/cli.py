@@ -154,7 +154,7 @@ def cmd_subspace(args) -> None:
         # This call's own matrix, centered in place: the bits of stacked - mean
         # without a second copy. An empty one is left to pca_explained's checks.
         stacked -= stacked.mean(axis=0, keepdims=True)
-    rep = subspace.pca_explained(stacked, center=False)
+    rep = subspace.pca_explained(stacked)
     rows = [
         [i + 1, float(sv), float(fr)]
         for i, (sv, fr) in enumerate(zip(rep.singular_values, rep.explained_fractions))

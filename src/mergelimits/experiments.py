@@ -22,9 +22,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import geometry, merge, rht
+from . import geometry, merge, rht, tensorio
 from .errors import MAX_SIZE, ConfigError, NumericError, require_real, require_size
-from .tensorio import _BLOCK_NORMALS, RngStream, normal_blocks
+from .tensorio import RngStream, normal_blocks
 
 SCHEMA_VERSION = 8
 
@@ -190,7 +190,7 @@ def _factor_product(gen: np.random.Generator, side: int, r: int) -> np.ndarray:
     a, b = gen.normal(size=(2, side, r))
     a /= math.sqrt(r)
     z = np.empty((side, side))
-    rows = max(1, _BLOCK_NORMALS // side)
+    rows = max(1, tensorio._BLOCK_NORMALS // side)
     term = np.empty((min(rows, side), side))
     for start in range(0, side, rows):
         zb, ab = z[start : start + rows], a[start : start + rows]
@@ -345,9 +345,7 @@ def run_kinematics(
     if (half_angle is None) == (subspace_dim is None):
         raise ConfigError("give exactly one of half_angle or subspace_dim")
     if half_angle is not None:
-        axis = np.zeros(dim)
-        axis[0] = 1.0
-        body = geometry.CircularCone(axis, half_angle)
+        body = geometry.CircularCone(dim, half_angle)
         statdim = geometry.statdim_cone(body)
     else:
         body = int(subspace_dim)
@@ -398,10 +396,9 @@ def run_rht_study(cfg: ExperimentConfig) -> Report:
         for row, lb, lr, m, t in zip(cells[start:], *losses.reshape(2, -1), merged, transformed):
             row[:] = lb, lr, m.var(), t.var()
     rows = [[n, *c] for n, c in enumerate(cells.tolist(), 1)]
-    net = rht.TinyNetSpec()
     cov_stream = RngStream(cfg.seed, 50)
-    c1, range1 = rht.coverage_proxy(net, "gaussian", 2000, cov_stream)
-    c2, range2 = rht.coverage_proxy(net, "rht", 2000, cov_stream, rht_params=p)
+    c1, range1 = rht.coverage_proxy("gaussian", 2000, cov_stream)
+    c2, range2 = rht.coverage_proxy("rht", 2000, cov_stream, rht_params=p)
     diag = None
     if transformed[-1].size >= 10_000:
         diag = asdict(rht.tail_diagnostics(transformed[-1]))

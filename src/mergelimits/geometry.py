@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -79,17 +80,17 @@ class QuadraticTask:
 
 @dataclass(frozen=True)
 class CircularCone:
-    """Closed convex cone {x : angle(x, axis) <= half_angle}."""
+    """Closed convex cone {x in R^dim : angle(x, e_1) <= half_angle}. Its
+    statistical dimension and kinematics are rotation-invariant
+    (arXiv:1303.6672), so any axis gives the same results as e_1."""
 
-    axis: np.ndarray
+    dim: int
     half_angle: float
 
     def __post_init__(self):
-        u = as_pvec(self.axis)
-        nrm = np.linalg.norm(u)
-        if abs(nrm - 1.0) > 1e-12:
-            raise ConfigError(f"cone axis must be unit-norm, got |u| = {nrm}")
-        object.__setattr__(self, "axis", u)
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+            raise ConfigError(f"cone dim must be an integer >= 1, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "half_angle", float(self.half_angle))
         if not 0 < self.half_angle < math.pi / 2:
             raise ConfigError(f"half_angle must be in (0, pi/2), got {self.half_angle}")
@@ -166,7 +167,7 @@ def statdim_cone(cone: CircularCone) -> float:
     and clipped to |theta - pi/2| <= sqrt(80 / (D - 2)), outside which
     sin^(D-2) theta < e^-40 of its peak. D = 1 is the ray, delta = 1/2.
     """
-    dim, a = cone.axis.size, cone.half_angle
+    dim, a = cone.dim, cone.half_angle
     if dim == 1:
         return 0.5
     half = math.pi / 2 if dim == 2 else min(math.pi / 2, math.sqrt(80.0 / (dim - 2)))
@@ -181,16 +182,15 @@ def statdim_cone(cone: CircularCone) -> float:
     return dim * float(np.sum(mass * f) / np.sum(mass))
 
 
-def statdim_cone_mc(cone: CircularCone, dim: int, samples: int, stream: RngStream) -> tuple[float, float]:
-    """Monte-Carlo statistical dimension E|Pi_C(g)|^2 with stderr: the
-    cross-check of statdim_cone."""
+def statdim_cone_mc(cone: CircularCone, samples: int, stream: RngStream) -> tuple[float, float]:
+    """Monte-Carlo statistical dimension E|Pi_C(g)|^2 with stderr, the
+    cross-check of statdim_cone: t = g_1 along the axis e_1, rho = |rest|."""
     if samples < 1000:
         raise ConfigError(f"need >= 1000 samples, got {samples}")
-    if dim != cone.axis.size:
-        raise ConfigError(f"dim {dim} disagrees with cone axis dim {cone.axis.size}")
-    g = stream.generator().normal(size=(samples, dim))
-    t = g @ cone.axis
-    rho = np.linalg.norm(g - np.outer(t, cone.axis), axis=1)
+    g = stream.generator().normal(size=(samples, cone.dim))
+    t = g[:, 0].copy()
+    g[:, 0] = 0.0
+    rho = np.linalg.norm(g, axis=1)
     tan_a = math.tan(cone.half_angle)
     # |Pi(g)|^2: inside -> |g|^2; polar (dot <= 0) -> 0; else boundary ray.
     inside = rho <= t * tan_a
@@ -262,8 +262,8 @@ def kinematics_transition(
             raise ConfigError(f"subspace dim must be in (0, {dim}], got {k1}")
         p = np.where(k1 + ks > dim, 1.0, 0.0)
         return float(p) if p.ndim == 0 else p
-    if cone_or_subspace.axis.size != dim:
-        raise ConfigError(f"dim {dim} disagrees with cone axis dim {cone_or_subspace.axis.size}")
+    if cone_or_subspace.dim != dim:
+        raise ConfigError(f"dim {dim} disagrees with cone dim {cone_or_subspace.dim}")
     cos2 = math.cos(min(cone_or_subspace.half_angle + _ANGLE_TOL, math.pi / 2)) ** 2
     k_top = int(ks.max())
     hits = np.zeros(k_top, dtype=np.int64)

@@ -227,13 +227,12 @@ _FORWARD_SAMPLES = 128
 
 
 def coverage_proxy(
-    net: TinyNetSpec,
     param_sampler: str,
     n_samples: int,
     stream: RngStream,
     rht_params: RHTParams | None = None,
 ) -> tuple[float, float]:
-    """Output dispersion of the network over random parameter draws.
+    """Output dispersion of the fixed network TinyNetSpec over random parameter draws.
 
     Returns (mean over grid inputs of the output variance across parameter
     samples, mean output range max - min per input). param_sampler is
@@ -245,6 +244,7 @@ def coverage_proxy(
         raise ConfigError(f"need >= 1000 samples, got {n_samples}")
     if param_sampler not in ("gaussian", "rht"):
         raise ConfigError(f"unknown param sampler {param_sampler!r}")
+    net = TinyNetSpec()
     grid = net.grid()
     draws = stream.generator().normal(size=(n_samples, net.param_count))
     if param_sampler == "rht":

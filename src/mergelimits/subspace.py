@@ -147,11 +147,11 @@ def _sketch_spectrum(m: np.ndarray, k: int) -> SpectrumReport | None:
     return SpectrumReport(kept, kept * kept / np.vdot(m, m), counts, False, r, tail, bound)
 
 
-def pca_explained(stacked_deltas: np.ndarray, center: bool) -> SpectrumReport:
+def pca_explained(stacked_deltas: np.ndarray) -> SpectrumReport:
     """Explained-variance spectrum of stacked experts (rows).
 
-    Rows are experts, columns flattened parameters. center=True subtracts
-    the mean expert first. A low-rank stack gets a certified report (see
+    Rows are experts, columns flattened parameters, taken as given (a caller
+    centers them first). A low-rank stack gets a certified report (see
     _sketch_spectrum): the rank values only, each over the exact squared
     Frobenius norm, plus tail_count and tail_bound for the round-off values
     left out. Otherwise every singular value of a full SVD is listed. The
@@ -163,9 +163,6 @@ def pca_explained(stacked_deltas: np.ndarray, center: bool) -> SpectrumReport:
         raise ConfigError("no experts: the stacked matrix has zero rows")
     if m.shape[1] == 0:
         raise ConfigError("no parameters: the stacked matrix has zero columns")
-    if center:
-        # A new array, not the caller's; a column mean that overflows makes it non-finite.
-        m = as_matrix(m - m.mean(axis=0, keepdims=True))
     k = _SKETCH_START
     while k <= min(m.shape) / 4:
         rep = _sketch_spectrum(m, k)
@@ -209,7 +206,7 @@ def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
 def sv_tail_stats(delta: np.ndarray) -> SpectrumReport:
     """Log-band singular-value statistics of a dense delta matrix: the
     uncentered pca_explained spectrum (certified sketch or full SVD)."""
-    rep = pca_explained(delta, center=False)
+    rep = pca_explained(delta)
     if np.all(rep.singular_values <= _ZERO_SV):
         raise ConfigError("degenerate (all-zero) matrix")
     return rep

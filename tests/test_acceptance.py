@@ -138,12 +138,10 @@ def test_criterion_07_kinematic_transition():
 
     d = 60
     margin = math.ceil(2 * math.sqrt(d))
-    axis = np.zeros(d)
-    axis[0] = 1.0
     details = []
     for ai, deg in enumerate((20, 30, 45)):
-        cone = CircularCone(axis, math.radians(deg))
-        statdim, _ = geometry.statdim_cone_mc(cone, d, 50_000, RngStream(95, ai))
+        cone = CircularCone(d, math.radians(deg))
+        statdim, _ = geometry.statdim_cone_mc(cone, 50_000, RngStream(95, ai))
         predicted = d - statdim
         crossing = None
         for k in range(1, d + 1):
@@ -198,15 +196,10 @@ def rht_cdf_wrap(t, params):
 
 def test_criterion_10_coverage_regression():
     cfg = ExperimentConfig()
-    net = rht.TinyNetSpec()
-    c1a, _ = rht.coverage_proxy(net, "gaussian", 2000, RngStream(cfg.seed, 50))
-    c1b, _ = rht.coverage_proxy(net, "gaussian", 2000, RngStream(cfg.seed, 50))
-    c2a, _ = rht.coverage_proxy(
-        net, "rht", 2000, RngStream(cfg.seed, 50), rht_params=cfg.rht_params
-    )
-    c2b, _ = rht.coverage_proxy(
-        net, "rht", 2000, RngStream(cfg.seed, 50), rht_params=cfg.rht_params
-    )
+    c1a, _ = rht.coverage_proxy("gaussian", 2000, RngStream(cfg.seed, 50))
+    c1b, _ = rht.coverage_proxy("gaussian", 2000, RngStream(cfg.seed, 50))
+    c2a, _ = rht.coverage_proxy("rht", 2000, RngStream(cfg.seed, 50), rht_params=cfg.rht_params)
+    c2b, _ = rht.coverage_proxy("rht", 2000, RngStream(cfg.seed, 50), rht_params=cfg.rht_params)
     ok = c1a == c1b and c2a == c2b
     # Regression pins from the first computation at the default config.
     ok &= c1a == pytest.approx(4.594022321683386, rel=1e-9)
@@ -257,6 +250,6 @@ def test_criterion_12_subspace_diagnostics():
     # Rank-r synthetic data needs at most r components at 99.9%.
     r = 5
     m = gen.normal(size=(12, r)) @ gen.normal(size=(r, 60))
-    pca = subspace.pca_explained(m, center=False)
+    pca = subspace.pca_explained(m)
     ok &= subspace.components_for_threshold(pca, 0.999) <= r
     _record("12 subspace diagnostics", ok)

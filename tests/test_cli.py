@@ -603,10 +603,12 @@ def test_size_past_index_range_exit_2(tmp_path, argv, cfg, capsys):
 
 @pytest.mark.parametrize("normals", [1, 3 * 3025, 1 << 40], ids=["one-row", "few-rows", "all-rows"])
 def test_block_size_changes_no_output(tmp_path, normals, monkeypatch, capsys):
-    # Every streamed draw but the low-rank factors goes through
-    # tensorio.normal_blocks. The default blocks split each draw here in two
-    # (21 of 25 experts, 218 of 300 trials); blocks of one row, a few rows
-    # (3 experts, 30 trials) or all rows give the same bytes.
+    # Every streamed draw goes through tensorio.normal_blocks, and the
+    # low-rank factor products are formed in blocks of the same rule. The
+    # default blocks split each draw here in two (21 of 25 experts, 218 of
+    # 300 trials); blocks of one row (which also split each 55 x 55 factor
+    # product into its rows), a few rows (3 experts, 30 trials) or all rows
+    # give the same bytes.
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"seed": 3, "dimension": 55 * 55, "n_experts": 25, "rank": 3, "rho": 0.3}))
     argvs = {
@@ -737,7 +739,8 @@ class TestSubspace:
     @pytest.mark.parametrize("flags", [[], ["--no-center"]], ids=["centered", "uncentered"])
     def test_report_is_the_library_spectrum(self, tmp_path, flags):
         # The CLI centers the matrix it read in place: the report holds the
-        # bits of pca_explained on the caller's matrix, certified or full SVD.
+        # bits of pca_explained on m - mean (or on m with --no-center),
+        # certified or full SVD.
         gen = np.random.default_rng(5)
         for name, m in [("low_rank", gen.normal(size=(300, 4)) @ gen.normal(size=(4, 200)) + 3.0),
                         ("full", gen.normal(size=(40, 90)))]:
@@ -746,7 +749,7 @@ class TestSubspace:
             out = tmp_path / name
             assert run(["subspace", p, "--format", "json", "--out", out, *flags]) == 0
             rep = json.loads((out / "subspace.json").read_text())
-            lib = subspace.pca_explained(m, center=not flags)
+            lib = subspace.pca_explained(m if flags else m - m.mean(axis=0, keepdims=True))
             assert [r[1] for r in rep["rows"]] == lib.singular_values.tolist()
             assert [r[2] for r in rep["rows"]] == lib.explained_fractions.tolist()
             assert rep["extra"]["tail_bound"] == lib.tail_bound

@@ -17,6 +17,9 @@ value out. Callees are matched by name. Unit tests alone do not count: code
 that only its own tests call is dead weight, and so is an option only they
 set or only they leave. ALLOWED, ALLOWED_OPTIONS and ALLOWED_PASSED_DEFAULTS
 name the few exceptions, each with the reason it stays.
+
+No parameter, defaulted or not, may be one that every call passes as the
+same bool literal: that flag selects one branch, and the other is dead.
 """
 
 import ast
@@ -112,32 +115,30 @@ def _decorators(node) -> set:
     return names
 
 
-def _options(node, method: bool):
-    """(option, position or None if keyword-only, default) of each defaulted
-    parameter a call to node can pass."""
+def _parameters(node, method: bool):
+    """(parameter, position or None if keyword-only, default or None if it
+    has none) of each parameter a call to node can pass."""
     if isinstance(node, ast.ClassDef):
         if "dataclass" in _decorators(node):
             fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
             for i, f in enumerate(fields):
-                if f.value is not None:
-                    yield f.target.id, i, f.value
+                yield f.target.id, i, f.value
         else:
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-                    yield from _options(item, True)
+                    yield from _parameters(item, True)
         return
     if "property" in _decorators(node):
         return
     a = node.args
     positional = a.posonlyargs + a.args
-    first_default = len(positional) - len(a.defaults)
+    defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
     drop = 1 if method and "staticmethod" not in _decorators(node) else 0
-    defaulted = zip(positional[first_default:], a.defaults)
-    for i, (arg, default) in enumerate(defaulted, first_default):
-        yield arg.arg, i - drop, default
+    for i, (arg, default) in enumerate(zip(positional, defaults)):
+        if i >= drop:
+            yield arg.arg, i - drop, default
     for arg, default in zip(a.kwonlyargs, a.kw_defaults):
-        if default is not None:
-            yield arg.arg, None, default
+        yield arg.arg, None, default
 
 
 def _calls(tree: ast.AST, skip: ast.AST | None = None):
@@ -171,9 +172,21 @@ def _leaves(call: ast.Call, option: str, position: int | None) -> bool:
     return not named and (position is None or len(call.args) <= position)
 
 
-def _option_calls():
-    """(qualified option, option, position, default, calls) of each option,
-    with the calls outside its own definition that name its callee."""
+def _passed(call: ast.Call, option: str, position: int | None) -> ast.expr | None:
+    """The expression call passes for option, or None if it leaves it or
+    may pass it through `*` or `**` unpacking."""
+    for k in call.keywords:
+        if k.arg == option:
+            return k.value
+    if position is None or any(isinstance(a, ast.Starred) for a in call.args[: position + 1]):
+        return None
+    return call.args[position] if len(call.args) > position else None
+
+
+def _parameter_calls():
+    """(qualified parameter, parameter, position, default, calls) of each
+    parameter, with the calls outside its own definition that name its
+    callee. A parameter with a default is an option."""
     src = {p.stem: _parse(p) for p in SRC.glob("*.py")}
     whole = {stem: list(_calls(tree)) for stem, tree in src.items()}
     outside = [call for p in OUTSIDE for call in _calls(_parse(p))]
@@ -183,7 +196,7 @@ def _option_calls():
             # A class's own methods that build it (from_dict, from_json) are callers.
             own = whole[stem] if isinstance(node, ast.ClassDef) else list(_calls(tree, node))
             calls = [call for callee, call in others + own if callee == node.name]
-            for option, position, default in _options(node, method):
+            for option, position, default in _parameters(node, method):
                 yield f"{name}({option})", option, position, default, calls
 
 
@@ -194,8 +207,8 @@ def test_every_public_name_has_a_reader():
 def test_every_option_is_set_by_a_reader():
     unset = {
         q
-        for q, option, position, _, calls in _option_calls()
-        if not any(_passes(c, option, position) for c in calls)
+        for q, option, position, default, calls in _parameter_calls()
+        if default is not None and not any(_passes(c, option, position) for c in calls)
     }
     assert unset == set(ALLOWED_OPTIONS)
 
@@ -203,7 +216,19 @@ def test_every_option_is_set_by_a_reader():
 def test_every_default_is_left_by_a_caller():
     always_passed = {
         q
-        for q, option, position, _, calls in _option_calls()
-        if not any(_leaves(c, option, position) for c in calls)
+        for q, option, position, default, calls in _parameter_calls()
+        if default is not None and not any(_leaves(c, option, position) for c in calls)
     }
     assert always_passed == set(ALLOWED_PASSED_DEFAULTS)
+
+
+def test_no_parameter_is_one_bool_literal():
+    one_valued = set()
+    for q, option, position, _, calls in _parameter_calls():
+        values = {
+            v.value if isinstance(v, ast.Constant) and isinstance(v.value, bool) else None
+            for v in (_passed(c, option, position) for c in calls)
+        }
+        if len(values) == 1 and None not in values:
+            one_valued.add(q)
+    assert one_valued == set()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mergelimits import experiments, geometry, merge, rht, tensorio
+from mergelimits import geometry, merge, rht, tensorio
 from mergelimits.errors import ConfigError, NumericError
 from mergelimits.experiments import (
     MAX_SIZE,
@@ -187,7 +187,7 @@ class TestGenExperts:
         # block), every entry takes the operations of the plain sum of outer
         # products in the same order: the same bits.
         if block_normals is not None:
-            monkeypatch.setattr(experiments, "_BLOCK_NORMALS", block_normals)
+            monkeypatch.setattr(tensorio, "_BLOCK_NORMALS", block_normals)
         gen = RngStream(side, 1).generator()
         a, b = gen.normal(size=(2, side, rank))
         a /= math.sqrt(rank)

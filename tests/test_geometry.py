@@ -32,12 +32,6 @@ def identity_task(dim, epsilon=0.5, lam=None):
     return QuadraticTask(np.zeros(dim), lam, np.eye(dim), epsilon)
 
 
-def e1_cone(dim, half_angle):
-    axis = np.zeros(dim)
-    axis[0] = 1.0
-    return CircularCone(axis, half_angle)
-
-
 def statdim_betainc(dim, a):
     """delta(C) = D E f(theta) in incomplete-beta form, a reference for
     statdim_cone. u = cos^2 theta ~ Beta(1/2, (D-1)/2) with either sign of
@@ -352,62 +346,56 @@ class TestStatDim:
         # mirror image of the (pi/2 - a)-cone; a = pi/4 is self-dual.
         for deg in (1, 5, 20, 30, 44, 70, 89):
             a = math.radians(deg)
-            total = statdim_cone(e1_cone(d, a)) + statdim_cone(e1_cone(d, math.pi / 2 - a))
+            total = statdim_cone(CircularCone(d, a)) + statdim_cone(CircularCone(d, math.pi / 2 - a))
             assert abs(total - d) <= 1e-12 * d, (deg, total)
-        assert abs(statdim_cone(e1_cone(d, math.pi / 4)) - d / 2) <= 1e-12 * d
+        assert abs(statdim_cone(CircularCone(d, math.pi / 4)) - d / 2) <= 1e-12 * d
 
     def test_exact_low_dimensions(self):
         # D = 1: the ray, delta = 1/2. D = 2: theta is uniform on [0, pi].
         for a in np.linspace(0.01, math.pi / 2 - 0.01, 20):
-            assert statdim_cone(e1_cone(1, a)) == 0.5
-            assert statdim_cone(e1_cone(2, a)) == pytest.approx(0.5 + 2 * a / math.pi, rel=1e-14)
+            assert statdim_cone(CircularCone(1, a)) == 0.5
+            assert statdim_cone(CircularCone(2, a)) == pytest.approx(0.5 + 2 * a / math.pi, rel=1e-14)
 
     @pytest.mark.parametrize("d", [2, 3, 60, 10_000])
     def test_exact_increasing_in_angle(self, d):
-        vals = [statdim_cone(e1_cone(d, a)) for a in np.linspace(0.001, math.pi / 2 - 0.001, 200)]
+        vals = [statdim_cone(CircularCone(d, a)) for a in np.linspace(0.001, math.pi / 2 - 0.001, 200)]
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("d", [3, 60, 10_000])
     def test_exact_matches_incomplete_beta(self, d):
         for deg in (1, 5, 20, 30, 45, 70, 85, 89):
             a = math.radians(deg)
-            got, ref = statdim_cone(e1_cone(d, a)), statdim_betainc(d, a)
+            got, ref = statdim_cone(CircularCone(d, a)), statdim_betainc(d, a)
             assert abs(got - ref) <= 1e-11 * ref, (deg, got, ref)
 
     @pytest.mark.parametrize("deg", [20, 30, 45, 85])
     @pytest.mark.parametrize("d", [3, 20, 60])
     def test_mc_cross_check(self, d, deg):
-        cone = e1_cone(d, math.radians(deg))
-        est, se = statdim_cone_mc(cone, d, 20_000, RngStream(49, 100 * d + deg))
+        cone = CircularCone(d, math.radians(deg))
+        est, se = statdim_cone_mc(cone, 20_000, RngStream(49, 100 * d + deg))
         z = (est - statdim_cone(cone)) / se
         assert abs(z) <= 4, f"MC statdim is z = {z:+.2f} stderr from the exact value"
 
     def test_cone_mc_two_seeds_agree(self):
-        axis = np.zeros(20)
-        axis[0] = 1.0
-        cone = CircularCone(axis, math.radians(85))
-        a, se_a = statdim_cone_mc(cone, 20, 50_000, RngStream(43, 1))
-        b, se_b = statdim_cone_mc(cone, 20, 50_000, RngStream(43, 2))
+        cone = CircularCone(20, math.radians(85))
+        a, se_a = statdim_cone_mc(cone, 50_000, RngStream(43, 1))
+        b, se_b = statdim_cone_mc(cone, 50_000, RngStream(43, 2))
         assert abs(a - b) < 3 * math.hypot(se_a, se_b)
         # Wide cone: statistical dimension approaches the ambient dimension.
         assert a > 15
 
-    @pytest.mark.parametrize("axis_kind", ["e1", "generic"])
+    @pytest.mark.parametrize("axis_kind", ["e1"])
     def test_matches_unfused_formula(self, axis_kind):
-        # The projection g - outer(t, axis) and np.linalg.norm, written out
-        # here as the bitwise reference.
+        # The projection g - outer(t, axis) onto the cone's axis e1 and
+        # np.linalg.norm, written out here as the bitwise reference.
         d, n = 30, 5000
-        if axis_kind == "e1":
-            axis = np.zeros(d)
-            axis[0] = 1.0
-        else:
-            axis = RngStream(48, 0).generator().normal(size=d)
-            axis /= np.linalg.norm(axis)
-        cone = CircularCone(axis, math.radians(35))
-        got = statdim_cone_mc(cone, d, n, RngStream(48, 1))
+        axis = np.zeros(d)
+        axis[0] = 1.0
+        cone = CircularCone(d, math.radians(35))
+        got = statdim_cone_mc(cone, n, RngStream(48, 1))
         g = RngStream(48, 1).generator().normal(size=(n, d))
-        t = g @ cone.axis
-        rho = np.linalg.norm(g - np.outer(t, cone.axis), axis=1)
+        t = g @ axis
+        rho = np.linalg.norm(g - np.outer(t, axis), axis=1)
         inside = rho <= t * math.tan(cone.half_angle)
         dot = np.cos(cone.half_angle) * t + np.sin(cone.half_angle) * rho
         sq = np.where(inside, t * t + rho * rho, np.maximum(dot, 0.0) ** 2)
@@ -417,10 +405,8 @@ class TestStatDim:
     def test_self_dual_cone_is_half_the_space(self, d):
         # delta(C) + delta(C polar) = D, and the polar of the 45-degree cone is
         # its mirror image -C, so delta = D/2 exactly (arXiv:1303.6672).
-        axis = np.zeros(d)
-        axis[0] = 1.0
-        cone = CircularCone(axis, math.pi / 4)
-        est, se = statdim_cone_mc(cone, d, 100_000, RngStream(46, d))
+        cone = CircularCone(d, math.pi / 4)
+        est, se = statdim_cone_mc(cone, 100_000, RngStream(46, d))
         assert abs(est - d / 2) < 4 * se
 
 
@@ -433,7 +419,7 @@ class TestKinematics:
 
     def test_cone_extremes(self):
         d = 30
-        cone = e1_cone(d, math.radians(30))
+        cone = CircularCone(d, math.radians(30))
         statdim = statdim_cone(cone)
         margin = 2 * math.ceil(math.sqrt(d))
         k_low = max(1, int(d - statdim - margin))
@@ -451,9 +437,7 @@ class TestKinematics:
     def test_cone_matches_beta_law(self, deg):
         # |Pi_S u|^2 ~ Beta(k/2, (D-k)/2), so P(hit) = beta.sf(cos^2 a, k/2, (D-k)/2).
         d, trials = 60, 500
-        axis = np.zeros(d)
-        axis[0] = 1.0
-        cone = CircularCone(axis, math.radians(deg))
+        cone = CircularCone(d, math.radians(deg))
         c2 = math.cos(math.radians(deg)) ** 2
         for k in range(1, d + 1):
             p = kinematics_transition(d, cone, k, trials, RngStream(46, 100 * deg + k))
@@ -466,9 +450,7 @@ class TestKinematics:
         # Every k reads the same trials, so the columns are correlated, but
         # each is binomial(trials, P(k)) / trials on its own.
         d, trials = 60, 500
-        axis = np.zeros(d)
-        axis[0] = 1.0
-        cone = CircularCone(axis, math.radians(deg))
+        cone = CircularCone(d, math.radians(deg))
         c2 = math.cos(math.radians(deg)) ** 2
         ks = np.arange(1, d + 1)
         p = kinematics_transition(d, cone, ks, trials, RngStream(47, deg))
@@ -481,9 +463,7 @@ class TestKinematics:
     @pytest.mark.parametrize("k", [1, 17, 44, 60])
     def test_sequence_entries_match_scalar_calls(self, k):
         d, trials = 60, 300
-        axis = np.zeros(d)
-        axis[0] = 1.0
-        for body in (CircularCone(axis, math.radians(30)), 20):
+        for body in (CircularCone(d, math.radians(30)), 20):
             scalar = kinematics_transition(d, body, k, trials, RngStream(47, 100 + k))
             single = kinematics_transition(d, body, [k], trials, RngStream(47, 100 + k))
             swept = kinematics_transition(d, body, range(1, d + 1), trials, RngStream(47, 100 + k))
@@ -500,9 +480,7 @@ class TestKinematics:
             def generator(self):
                 raise AssertionError("drew before validating k")
 
-        axis = np.zeros(10)
-        axis[0] = 1.0
-        for body in (CircularCone(axis, math.radians(30)), 4):
+        for body in (CircularCone(10, math.radians(30)), 4):
             with pytest.raises(ConfigError):
                 kinematics_transition(10, body, k, 100, NoDraws())
 
@@ -511,9 +489,7 @@ class TestKinematics:
             raise AssertionError("kinematics_transition built a Haar matrix")
 
         monkeypatch.setattr(geometry, "haar_orthogonal", no_haar)
-        axis = np.zeros(10)
-        axis[0] = 1.0
-        cone = CircularCone(axis, math.radians(30))
+        cone = CircularCone(10, math.radians(30))
         assert 0.0 <= kinematics_transition(10, cone, 5, 100, RngStream(45, 104)) <= 1.0
         assert kinematics_transition(10, 4, 3, 100, RngStream(45, 105)) == 0.0
 
@@ -538,15 +514,21 @@ class TestKinematics:
                 raise AssertionError("drew before validating the cone")
 
         d, cone_dim = dims
-        with pytest.raises(ConfigError, match="cone axis dim"):
-            kinematics_transition(d, e1_cone(cone_dim, math.radians(30)), [1, 5, 10], 200, NoDraws())
+        with pytest.raises(ConfigError, match="cone dim"):
+            kinematics_transition(d, CircularCone(cone_dim, math.radians(30)), [1, 5, 10], 200, NoDraws())
+
+    @pytest.mark.parametrize("dim", [0, -3, True, 2.0, "4", None])
+    def test_cone_dim_must_be_a_positive_int(self, dim):
+        with pytest.raises(ConfigError, match="cone dim"):
+            CircularCone(dim, math.radians(30))
+        assert CircularCone(np.int64(3), math.radians(30)).dim == 3
 
     @pytest.mark.parametrize("d", [2, 3, 5, 10, 60, 200, 1000])
     def test_hit_count_equals_first_hit_reference(self, d):
         # The multi-chunk path runs at D = 1000: 500 trials exceed one batch.
         ks = np.arange(1, d + 1)
         for deg in (1, 5, 20, 30, 45, 60, 80, 89.9):
-            cone = e1_cone(d, math.radians(deg))
+            cone = CircularCone(d, math.radians(deg))
             for seed in range(5):
                 stream = RngStream(seed, 6)
                 p = kinematics_transition(d, cone, ks, 500, stream)
@@ -561,14 +543,14 @@ class TestKinematics:
     )
     def test_hit_count_equals_reference_on_random_sweeps(self, d, deg, seed, picks):
         ks = np.array([1 + min(int(u * d), d - 1) for u in picks])
-        cone = e1_cone(d, math.radians(deg))
+        cone = CircularCone(d, math.radians(deg))
         p = kinematics_transition(d, cone, ks, 200, RngStream(seed, 6))
         assert np.array_equal(p, kinematics_reference(d, cone, ks, 200, RngStream(seed, 6)))
 
     def test_angle_past_right_angle_hits_every_k(self):
         # half_angle + 1e-10 passes pi/2, so every subspace meets the cone.
         d, trials = 60, 500
-        cone = e1_cone(d, math.pi / 2 - 5e-11)
+        cone = CircularCone(d, math.pi / 2 - 5e-11)
         ks = np.arange(1, d + 1)
         assert np.all(kinematics_transition(d, cone, ks, trials, RngStream(48, 6)) == 1.0)
         assert np.all(kinematics_reference(d, cone, ks, trials, RngStream(48, 6)) == 1.0)

@@ -353,7 +353,7 @@ class TestCoverageProxy:
         net = TinyNetSpec()
         for seed in range(3):
             stream = RngStream(seed, 50)
-            assert coverage_proxy(net, sampler, n_samples, stream) == reference_coverage(
+            assert coverage_proxy(sampler, n_samples, stream) == reference_coverage(
                 net, sampler, n_samples, stream
             )
 
@@ -362,10 +362,10 @@ class TestCoverageProxy:
         # The (n, 33) draws, the (n, 64) outputs and var's one temporary of
         # their size; the forward blocks and the rht map's are far smaller.
         net, n = TinyNetSpec(), 2000
-        coverage_proxy(net, sampler, 1000, RngStream(57, 0))  # lazy imports, outside the trace
+        coverage_proxy(sampler, 1000, RngStream(57, 0))  # lazy imports, outside the trace
         tracemalloc.start()
         try:
-            coverage_proxy(net, sampler, n, RngStream(57, 1))
+            coverage_proxy(sampler, n, RngStream(57, 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -374,18 +374,16 @@ class TestCoverageProxy:
     @pytest.mark.parametrize("sampler", ["zero", "uniform"])
     def test_unknown_sampler_rejected(self, sampler):
         with pytest.raises(ConfigError, match="param sampler"):
-            coverage_proxy(TinyNetSpec(), sampler, 1000, RngStream(55, 0))
+            coverage_proxy(sampler, 1000, RngStream(55, 0))
 
     def test_deterministic_per_stream(self):
-        net = TinyNetSpec()
-        a = coverage_proxy(net, "gaussian", 1000, RngStream(55, 1))
-        b = coverage_proxy(net, "gaussian", 1000, RngStream(55, 1))
+        a = coverage_proxy("gaussian", 1000, RngStream(55, 1))
+        b = coverage_proxy("gaussian", 1000, RngStream(55, 1))
         assert a == b
 
     def test_two_seeds_agree_within_noise(self):
-        net = TinyNetSpec()
-        a, _ = coverage_proxy(net, "gaussian", 4000, RngStream(55, 2))
-        b, _ = coverage_proxy(net, "gaussian", 4000, RngStream(55, 3))
+        a, _ = coverage_proxy("gaussian", 4000, RngStream(55, 2))
+        b, _ = coverage_proxy("gaussian", 4000, RngStream(55, 3))
         assert abs(a - b) / a < 0.15
 
     def test_invariant_to_sample_order(self):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mergelimits.errors import ConfigError, NumericError
+from mergelimits.errors import ConfigError
 from mergelimits.subspace import (
     N_LOG_BANDS,
     SpectrumReport,
@@ -111,8 +111,9 @@ class TestSpectrumReport:
         sv = np.linalg.svd(m, compute_uv=False)
         assert np.sum(sv > 1e-30) > 5
         assert spectrum_report(sv, m.shape).rank == 5 == np.linalg.matrix_rank(m)
-        assert pca_explained(m, center=False).rank == 5
-        assert pca_explained(m, center=True).rank == np.linalg.matrix_rank(m - m.mean(axis=0)) == 5
+        assert pca_explained(m).rank == 5
+        centered = m - m.mean(axis=0, keepdims=True)
+        assert pca_explained(centered).rank == np.linalg.matrix_rank(centered) == 5
         assert sv_tail_stats(m).rank == 5
 
     def test_nan_fractions_rejected(self):
@@ -132,26 +133,26 @@ class TestPCAExplained:
         # Identical rows span one direction; all variance in one component.
         row = np.array([1.0, 2.0, 2.0])
         m = np.tile(row, (5, 1))
-        rep = pca_explained(m, center=False)
+        rep = pca_explained(m)
         assert rep.explained_fractions[0] == pytest.approx(1.0, abs=1e-12)
         sv = rep.singular_values
         assert np.sum(sv > 1e-10 * sv[0]) == 1
 
     def test_centering_kills_common_mode(self):
         m = np.tile(np.array([1.0, 2.0, 2.0]), (5, 1))
-        rep = pca_explained(m, center=True)
+        rep = pca_explained(m - m.mean(axis=0, keepdims=True))
         assert rep.degenerate
 
     def test_orthogonal_pair_splits_evenly(self):
         m = np.array([[1.0, 0.0], [0.0, 1.0]])
-        rep = pca_explained(m, center=False)
+        rep = pca_explained(m)
         assert np.allclose(rep.explained_fractions, [0.5, 0.5], atol=1e-12)
 
     def test_planted_rank_exact(self):
         gen = RngStream(62, 0).generator()
         r, n, d = 4, 12, 60
         m = gen.normal(size=(n, r)) @ gen.normal(size=(r, d))
-        rep = pca_explained(m, center=False)
+        rep = pca_explained(m)
         assert np.sum(rep.singular_values > 1e-10 * rep.singular_values[0]) == r
         assert rep.explained_fractions[:r].sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -159,8 +160,8 @@ class TestPCAExplained:
         # Oracle: eigendecomposition of the Gram matrix of centered rows.
         gen = RngStream(62, 1).generator()
         m = gen.normal(size=(8, 20))
-        rep = pca_explained(m, center=True)
         c = m - m.mean(axis=0, keepdims=True)
+        rep = pca_explained(c)
         eig = np.sort(np.linalg.eigvalsh(c @ c.T))[::-1]
         eig = np.clip(eig, 0.0, None)
         assert np.allclose(rep.singular_values[:8] ** 2, eig, atol=1e-8)
@@ -181,7 +182,7 @@ class TestComponentsForThreshold:
         gen = RngStream(63, 0).generator()
         r = 5
         m = gen.normal(size=(10, r)) @ gen.normal(size=(r, 40))
-        rep = pca_explained(m, center=False)
+        rep = pca_explained(m)
         assert components_for_threshold(rep, 0.999) <= r
 
     def test_bad_inputs(self):
@@ -268,8 +269,8 @@ class TestCertifiedSpectrum:
     @pytest.mark.parametrize("center", [True, False], ids=["centered", "uncentered"])
     def test_matches_full_svd(self, center):
         m = planted(600, 800, 5, 0)
-        rep = pca_explained(m, center=center)
-        c = m - m.mean(axis=0) if center else m
+        c = m - m.mean(axis=0, keepdims=True) if center else m
+        rep = pca_explained(c)
         ref = full_svd_report(c)
         sv = np.linalg.svd(c, compute_uv=False)
         assert rep.rank == ref.rank == len(rep.singular_values) == 5
@@ -287,7 +288,7 @@ class TestCertifiedSpectrum:
     def test_sv_tail_stats_takes_the_same_path(self):
         m = planted(600, 800, 5, 0)
         rep = sv_tail_stats(m)
-        uncentered = pca_explained(m, center=False)
+        uncentered = pca_explained(m)
         assert rep.tail_count == uncentered.tail_count == 595
         assert np.array_equal(rep.singular_values, uncentered.singular_values)
         assert rep.tail_bound == uncentered.tail_bound
@@ -296,7 +297,7 @@ class TestCertifiedSpectrum:
         # The first sketch has 16 columns and certifies only a rank below 16,
         # so a certified rank of 20 means the sketch grew.
         m = planted(600, 800, 20, 1)
-        rep = pca_explained(m, center=False)
+        rep = pca_explained(m)
         assert rep.rank == len(rep.singular_values) == 20
         assert rep.tail_count == 580
         ref = full_svd_report(m)
@@ -306,7 +307,7 @@ class TestCertifiedSpectrum:
 
     def test_full_rank_falls_back_to_full_svd(self):
         m = RngStream(67, 2).generator().normal(size=(200, 240))
-        rep = pca_explained(m, center=False)
+        rep = pca_explained(m)
         ref = full_svd_report(m)
         assert rep.tail_count == 0 and rep.tail_bound == 0.0
         assert rep.singular_values.tobytes() == ref.singular_values.tobytes()
@@ -322,7 +323,7 @@ class TestCertifiedSpectrum:
         u, _ = np.linalg.qr(gen.normal(size=(300, 2)))
         v, _ = np.linalg.qr(gen.normal(size=(300, 2)))
         m = (u * [1.5, math.exp(-1) + offset]) @ v.T + 1e-16 * gen.normal(size=(300, 300))
-        rep = pca_explained(m, center=False)
+        rep = pca_explained(m)
         assert rep.rank == 2
         assert (rep.tail_count > 0) == certified
         assert np.array_equal(rep.counts_per_log_band, full_svd_report(m).counts_per_log_band)
@@ -330,7 +331,7 @@ class TestCertifiedSpectrum:
     def test_overflowing_power_step_falls_back(self):
         # sigma^3 overflows float64 in M·Mᵀ·M·Ω; the full SVD does not.
         m = 1e110 * planted(100, 120, 3, 5)
-        rep = pca_explained(m, center=False)
+        rep = pca_explained(m)
         ref = full_svd_report(m)
         assert rep.tail_count == 0 and rep.rank == ref.rank == 3
         assert rep.singular_values.tobytes() == ref.singular_values.tobytes()
@@ -339,10 +340,10 @@ class TestCertifiedSpectrum:
         # The residual M - QB is taken in one reused _RESIDUAL_ROWS x cols
         # buffer; the sketch's other arrays are cols x k.
         m = planted(2000, 2000, 8, 6)
-        pca_explained(planted(300, 300, 8, 6), center=False)  # lazy imports, outside the trace
+        pca_explained(planted(300, 300, 8, 6))  # lazy imports, outside the trace
         tracemalloc.start()
         try:
-            rep = pca_explained(m, center=False)
+            rep = pca_explained(m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -350,32 +351,17 @@ class TestCertifiedSpectrum:
         assert peak < 1.5 * 256 * 2000 * 8
 
     def test_all_zero_falls_back(self):
-        rep = pca_explained(np.zeros((80, 90)), center=False)
+        rep = pca_explained(np.zeros((80, 90)))
         assert rep.degenerate and rep.rank == 0 and rep.tail_count == 0
 
     def test_repeat_calls_are_byte_identical(self):
         m = planted(600, 800, 5, 4)
-        a, b = pca_explained(m, center=True), pca_explained(m, center=True)
+        c = m - m.mean(axis=0, keepdims=True)
+        a, b = pca_explained(c), pca_explained(c)
         for field in ("singular_values", "explained_fractions", "counts_per_log_band"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
         assert (a.rank, a.tail_count, a.tail_bound) == (b.rank, b.tail_count, b.tail_bound)
 
-    def test_centering_leaves_the_input_unchanged(self):
-        m = planted(600, 800, 5, 4)
-        before = m.tobytes()
-        rep = pca_explained(m, center=True)
-        assert m.tobytes() == before
-        assert rep.rank == np.linalg.matrix_rank(m - m.mean(axis=0)) == 5
-
-    def test_overflowing_column_mean_is_a_numeric_error(self):
-        # Two entries of 1.7e308 sum past the float range: the centered
-        # column is not finite, so no spectrum of it is reported.
-        m = np.ones((6, 9))
-        m[:2, 3] = 1.7e308
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="non-finite"):
-                pca_explained(m, center=True)
-
     def test_zero_columns_rejected(self):
         with pytest.raises(ConfigError, match="zero columns"):
-            pca_explained(np.zeros((3, 0)), center=True)
+            pca_explained(np.zeros((3, 0)))
