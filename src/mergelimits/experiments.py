@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import geometry, merge, rht, tensorio
+from . import geometry, merge, rht
 from .errors import MAX_SIZE, ConfigError, NumericError, require_real, require_size
 from .tensorio import RngStream, normal_blocks
 
@@ -183,21 +183,13 @@ def emit_report(report: Report, fmt: str, path) -> None:
 
 def _factor_product(gen: np.random.Generator, side: int, r: int) -> np.ndarray:
     """A·Bᵀ/√r for side × r matrices A then B of iid normals from gen, as a
-    1 × side² row block: a fixed-order sum of r outer products (A's columns
-    taken over √r first), so no BLAS call and the same bits on every kernel.
-    It is formed in the row blocks of tensorio.normal_blocks, whose r terms
-    stay in cache, with each entry's operations in the same order."""
+    1 × side² row block. One einsum over contiguous r × side copies sums each
+    entry in k order for r <= side (over transposed views it would not), with
+    no BLAS call: the bits of the plain sum of r outer products on any kernel."""
     a, b = gen.normal(size=(2, side, r))
     a /= math.sqrt(r)
-    z = np.empty((side, side))
-    rows = max(1, tensorio._BLOCK_NORMALS // side)
-    term = np.empty((min(rows, side), side))
-    for start in range(0, side, rows):
-        zb, ab = z[start : start + rows], a[start : start + rows]
-        np.multiply.outer(ab[:, 0], b[:, 0], out=zb)
-        for k in range(1, r):
-            zb += np.multiply.outer(ab[:, k], b[:, k], out=term[: len(ab)])
-    return z.reshape(1, side * side)
+    a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    return np.einsum("ki,kj->ij", a, b).reshape(1, side * side)
 
 
 def gen_experts(cfg: ExperimentConfig, low_rank: bool = False) -> Iterator[tuple[int, np.ndarray]]:

@@ -14,7 +14,7 @@ from scipy import stats
 
 from mergelimits import geometry, merge, rht, subspace
 from mergelimits.experiments import ExperimentConfig, run_saturation
-from mergelimits.geometry import CircularCone, QuadraticTask, haar_orthogonal
+from mergelimits.geometry import CircularCone, QuadraticTask
 from mergelimits.tensorio import RngStream
 
 

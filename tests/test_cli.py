@@ -128,8 +128,8 @@ def test_low_rank_bits_do_not_depend_on_blas(tmp_path):
 
 
 def test_low_rank_files_keep_their_bits(tmp_path):
-    # The factor products are formed by row blocks (218 and 82 rows at side
-    # 300) and hold the bits of the whole-matrix sums: sha256 over the files
+    # Each factor product is one einsum that sums every entry in k order,
+    # with the bits of the plain sum of outer products: sha256 over the files
     # in name order.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 5, "dimension": 90000, "n_experts": 3, "rank": 5}))
@@ -603,12 +603,11 @@ def test_size_past_index_range_exit_2(tmp_path, argv, cfg, capsys):
 
 @pytest.mark.parametrize("normals", [1, 3 * 3025, 1 << 40], ids=["one-row", "few-rows", "all-rows"])
 def test_block_size_changes_no_output(tmp_path, normals, monkeypatch, capsys):
-    # Every streamed draw goes through tensorio.normal_blocks, and the
-    # low-rank factor products are formed in blocks of the same rule. The
+    # Every streamed draw goes through tensorio.normal_blocks; the low-rank
+    # factor products are whole 55 x 55 einsums, one expert to a block. The
     # default blocks split each draw here in two (21 of 25 experts, 218 of
-    # 300 trials); blocks of one row (which also split each 55 x 55 factor
-    # product into its rows), a few rows (3 experts, 30 trials) or all rows
-    # give the same bytes.
+    # 300 trials); blocks of one row, a few rows (3 experts, 30 trials) or
+    # all rows give the same bytes.
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"seed": 3, "dimension": 55 * 55, "n_experts": 25, "rank": 3, "rho": 0.3}))
     argvs = {

@@ -91,6 +91,9 @@ class TestExperimentConfig:
         assert cfg.seed == 3 and cfg.rho == 0.25
 
 
+_FACTOR_SHAPES = [(side, rank) for side in (1, 17, 257) for rank in (1, 2, 7, 8, 9, 33) if rank <= side]
+
+
 class TestGenExperts:
     def test_fully_correlated_identical(self):
         cfg = ExperimentConfig(seed=3, dimension=100, n_experts=4, rho=1.0)
@@ -178,14 +181,18 @@ class TestGenExperts:
 
     @pytest.mark.parametrize(
         "side, rank, block_normals",
-        [(100, 3, None), (300, 5, None), (7, 4, 1)],
-        ids=["one-block", "partial-last-block", "one-row-blocks"],
+        [(100, 3, None), (300, 5, None), (7, 4, 1), *((side, rank, None) for side, rank in _FACTOR_SHAPES)],
+        ids=["one-block", "partial-last-block", "one-row-blocks",
+             *(f"side{side}-rank{rank}" for side, rank in _FACTOR_SHAPES)],
     )
     def test_factor_product_is_the_whole_matrix_sum(self, side, rank, block_normals, monkeypatch):
-        # Formed by row blocks (a single one of 655 rows at side 100; 218 and
-        # 82 rows at side 300; one row each when a row is longer than a
-        # block), every entry takes the operations of the plain sum of outer
-        # products in the same order: the same bits.
+        # One einsum over contiguous r x side copies of the factors: the
+        # reduction axis k is then the outermost, so every entry is summed in
+        # k order, the operations of the plain sum of outer products. Over the
+        # transposed views k is the innermost axis and einsum sums each entry
+        # as a vector dot product, in another order (so do "ik,jk->ij" and
+        # optimize=True). rank <= side, as gen_experts requires. The block
+        # size of tensorio.normal_blocks has no part in it.
         if block_normals is not None:
             monkeypatch.setattr(tensorio, "_BLOCK_NORMALS", block_normals)
         gen = RngStream(side, 1).generator()
@@ -196,6 +203,19 @@ class TestGenExperts:
             ref += np.multiply.outer(a[:, k], b[:, k])
         z = _factor_product(RngStream(side, 1).generator(), side, rank)
         assert z.shape == (1, side * side) and z.tobytes() == ref.tobytes()
+
+    def test_factor_product_makes_no_other_square_temporary(self):
+        # Beyond its side² output, a product holds only the r x side factors.
+        side, rank = 512, 8
+        _factor_product(RngStream(0, 1).generator(), 2, 1)  # einsum's first call, outside the trace
+        gen = RngStream(side, 1).generator()
+        tracemalloc.start()
+        try:
+            _factor_product(gen, side, rank)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * side * side * 8 + 2 * rank * side * 8
 
     @pytest.mark.parametrize("side, rank, n", [(64, 4, 20), (32, 2, 20)])
     def test_merged_low_rank_experts_saturate_the_parameter_space(self, side, rank, n):
